@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/simd.h"
+#include "common/version.h"
 #include "data/attribute_gen.h"
 #include "mining/counter.h"
 #include "data/synthetic_gen.h"
@@ -315,11 +316,12 @@ inline void Banner(const std::string& title) {
 //   }
 
 // The commit the run measures: CI exports GITHUB_SHA; local runs may
-// set CFQ_COMMIT; otherwise "unknown".
+// set CFQ_COMMIT; otherwise the configure-time `git describe` baked
+// into the build (common/version.h), "unknown" only outside a checkout.
 inline std::string BenchCommit() {
   if (const char* sha = std::getenv("GITHUB_SHA")) return sha;
   if (const char* sha = std::getenv("CFQ_COMMIT")) return sha;
-  return "unknown";
+  return BuildGitDescribe();
 }
 
 inline std::string BenchTimestampUtc() {

@@ -1,12 +1,20 @@
 // Experiment E10b — micro-benchmarks for the paper-contribution paths:
 // the quasi-succinct reduction ("little extra cost", Section 4.1) and
 // the Jmax / V^k computation ("the time taken to find Jmax is
-// negligible", Section 5.2).
+// negligible", Section 5.2) — plus pair formation, which those
+// reductions feed: BM_PairJoin/nested is the EvalAllPairs loop over
+// every (S, T) pair, BM_PairJoin/columns the per-set-column join
+// (core/pair_join.h), both serial over the same 2000 x 2000 side sets.
+//
+// --bench_json=FILE and --quick as in micro_counting (bench/gbench_main.h).
 
 #include <benchmark/benchmark.h>
 
+#include "bench/gbench_main.h"
 #include "common/rng.h"
+#include "constraints/eval.h"
 #include "core/jmax.h"
+#include "core/pair_join.h"
 #include "core/reduction.h"
 #include "mining/apriori.h"
 
@@ -104,7 +112,63 @@ void BM_AchievableAgg(benchmark::State& state) {
 }
 BENCHMARK(BM_AchievableAgg);
 
+// Side sets shaped like a served pair-heavy query: 2000 sets of 1-3
+// items per side over 120 items with fractional prices.
+struct PairFixture {
+  ItemCatalog catalog{120};
+  CfqResult sides;
+  std::vector<TwoVarConstraint> two_var = {
+      MakeAgg2(AggFn::kMax, "Price", CmpOp::kLe, AggFn::kMin, "Price")};
+};
+
+const PairFixture& SharedPairFixture() {
+  static PairFixture* fixture = [] {
+    auto* f = new PairFixture;
+    Rng rng(23);
+    std::vector<AttrValue> price(120);
+    for (AttrValue& p : price) p = rng.UniformReal(1, 100);
+    (void)f->catalog.AddNumericAttr("Price", price);
+    for (std::vector<FrequentSet>* side : {&f->sides.s_sets, &f->sides.t_sets}) {
+      for (int k = 0; k < 2000; ++k) {
+        std::vector<ItemId> raw(static_cast<size_t>(rng.UniformInt(1, 3)));
+        for (ItemId& x : raw) x = static_cast<ItemId>(rng.UniformInt(0, 119));
+        side->push_back(FrequentSet{MakeItemset(std::move(raw)), 100});
+      }
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_PairJoin(benchmark::State& state, bool columns) {
+  const PairFixture& f = SharedPairFixture();
+  for (auto _ : state) {
+    CfqResult result;
+    result.s_sets = f.sides.s_sets;
+    result.t_sets = f.sides.t_sets;
+    if (columns) {
+      benchmark::DoNotOptimize(FormPairs(f.two_var, f.catalog, {}, &result));
+    } else {
+      for (uint32_t i = 0; i < result.s_sets.size(); ++i) {
+        for (uint32_t j = 0; j < result.t_sets.size(); ++j) {
+          auto ok = EvalAllPairs(f.two_var, result.s_sets[i].items,
+                                 result.t_sets[j].items, f.catalog);
+          if (ok.ok() && ok.value()) result.pairs.emplace_back(i, j);
+        }
+      }
+    }
+    benchmark::DoNotOptimize(result.pairs.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.sides.s_sets.size() *
+                                               f.sides.t_sets.size()));
+}
+BENCHMARK_CAPTURE(BM_PairJoin, nested, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PairJoin, columns, true)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace cfq
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return cfq::bench::GbenchMain(argc, argv, "micro_core");
+}

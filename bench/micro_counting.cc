@@ -9,14 +9,13 @@
 // pin their own kernel per run regardless).
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
+#include "bench/gbench_main.h"
 #include "common/rng.h"
 #include "data/synthetic_gen.h"
 #include "mining/bitmap_counter.h"
@@ -201,67 +200,14 @@ void BM_QuestGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_QuestGeneration)->Arg(1000)->Arg(5000);
 
-// Console output as usual, plus every per-iteration-run's real time
-// captured into the shared BENCH_*.json reporter.
-class PerfCaptureReporter : public benchmark::ConsoleReporter {
- public:
-  explicit PerfCaptureReporter(bench::Reporter* out) : out_(out) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration ||
-          run.iterations == 0) {
-        continue;
-      }
-      out_->Add(run.benchmark_name(),
-                run.real_accumulated_time /
-                    static_cast<double>(run.iterations));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  bench::Reporter* out_;
-};
-
 }  // namespace
 }  // namespace cfq
 
 int main(int argc, char** argv) {
-  // Split our flags from google-benchmark's: gbench rejects flags it
-  // does not know, so --bench_json/--quick must not reach Initialize.
-  std::string bench_json;
-  bool quick = false;
-  std::vector<char*> gbench_args;
-  gbench_args.reserve(static_cast<size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--bench_json=", 0) == 0) {
-      bench_json = arg.substr(std::strlen("--bench_json="));
-    } else if (arg == "--quick" || arg == "--quick=1") {
-      quick = true;
-    } else if (arg == "--no-simd" || arg == "--no-simd=1") {
-      cfq::simd::SetKernel("scalar");
-    } else {
-      gbench_args.push_back(argv[i]);
-    }
-  }
-  std::string min_time = "--benchmark_min_time=0.05";
-  if (quick) gbench_args.push_back(min_time.data());
-  int gbench_argc = static_cast<int>(gbench_args.size());
-  benchmark::Initialize(&gbench_argc, gbench_args.data());
-
-  cfq::bench::Reporter reporter("micro_counting");
-  reporter.SetConfig("quick", quick ? "1" : "0");
-  reporter.SetConfig("simd_kernel",
-                     cfq::simd::KernelName(cfq::simd::ActiveKernel()));
-  cfq::PerfCaptureReporter console(&reporter);
-  benchmark::RunSpecifiedBenchmarks(&console);
-  benchmark::Shutdown();
-
-  if (!bench_json.empty()) {
-    if (!reporter.WriteJson(bench_json)) return 1;
-    std::cout << "wrote " << bench_json << "\n";
-  }
-  return 0;
+  return cfq::bench::GbenchMain(
+      argc, argv, "micro_counting", [](const std::string& arg) {
+        if (arg != "--no-simd" && arg != "--no-simd=1") return false;
+        cfq::simd::SetKernel("scalar");
+        return true;
+      });
 }

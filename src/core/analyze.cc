@@ -127,7 +127,8 @@ std::string RenderExplainAnalyze(const StrategyStats& stats,
   os << "\npair phase: " << stats.pair_checks << " checks";
   for (const obs::TraceEvent& e : events) {
     if (const auto* p = std::get_if<obs::PairPhaseEvent>(&e.payload)) {
-      os << ", " << p->kept << " kept";
+      os << ", " << p->kept << " kept, columns "
+         << TablePrinter::Fmt(p->columns_seconds, 4) << "s";
     }
   }
   os << "\ntiming: mining " << TablePrinter::Fmt(stats.mining_seconds, 4)

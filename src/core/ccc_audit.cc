@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "constraints/eval.h"
+#include "core/pair_join.h"
 #include "mining/apriori.h"
 
 namespace cfq {
@@ -100,38 +101,40 @@ Result<CccAudit> AuditCfqSide(const TransactionDb& db,
       s_side ? query.min_support_t : query.min_support_s;
 
   const ItemsetSet frequent = FrequentIndex(db, domain, min_support);
-  const std::vector<FrequentSet> other_frequent =
-      MineFrequentBruteForce(db, other_domain, other_support);
 
   // Validity per Definitions 3 & 6: 1-var constraints hold, and for the
   // 2-var conjunction a frequent witness on the other side exists.
-  auto is_valid = [&](const Itemset& x) -> Result<bool> {
-    auto one = EvalAll(query.one_var, side, x, catalog);
-    if (!one.ok()) return one.status();
-    if (!one.value()) return false;
-    if (query.two_var.empty()) return true;
-    for (const FrequentSet& w : other_frequent) {
-      auto ok = s_side ? EvalAllPairs(query.two_var, x, w.items, catalog)
-                       : EvalAllPairs(query.two_var, w.items, x, catalog);
-      if (!ok.ok()) return ok.status();
-      if (ok.value()) return true;
-    }
-    return false;
-  };
-
-  ItemsetSet required;
+  std::vector<FrequentSet> one_var_valid;
   Status error;
   ForEachNonEmptySubset(domain, [&](const Itemset& x) {
     if (!error.ok()) return;
     if (!AllSubsetsFrequent(x, frequent)) return;
-    auto ok = is_valid(x);
+    auto ok = EvalAll(query.one_var, side, x, catalog);
     if (!ok.ok()) {
       error = ok.status();
       return;
     }
-    if (ok.value()) required.insert(x);
+    if (ok.value()) one_var_valid.push_back(FrequentSet{x, 0});
   });
   CFQ_RETURN_IF_ERROR(error);
+
+  ItemsetSet required;
+  if (query.two_var.empty()) {
+    for (const FrequentSet& x : one_var_valid) required.insert(x.items);
+  } else {
+    // One join of the candidates against every frequent set of the
+    // other side: a candidate is valid iff it forms at least one pair.
+    CfqResult join;
+    (s_side ? join.s_sets : join.t_sets) = std::move(one_var_valid);
+    (s_side ? join.t_sets : join.s_sets) =
+        MineFrequentBruteForce(db, other_domain, other_support);
+    CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog, {}, &join));
+    const std::vector<FrequentSet>& candidates =
+        s_side ? join.s_sets : join.t_sets;
+    for (const auto& [i, j] : join.pairs) {
+      required.insert(candidates[s_side ? i : j].items);
+    }
+  }
   return Compare(counted, checks, domain.size(), required);
 }
 

@@ -12,6 +12,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "constraints/eval.h"
+#include "core/pair_join.h"
 #include "core/reduction.h"
 #include "fpgrowth/fp_growth.h"
 #include "mining/apriori_plus.h"
@@ -171,77 +172,6 @@ class BoundsChannel {
   bool closed_ = false;
 };
 
-// Pair formation: verify every 2-var constraint on each candidate pair.
-// With a pool, S-rows are sharded across threads; per-shard matches are
-// concatenated in shard order, reproducing the serial row-major order.
-Status FormPairs(const ItemCatalog& catalog, const CfqQuery& query,
-                 CfqResult* result, obs::Tracer* tracer = nullptr,
-                 ThreadPool* pool = nullptr,
-                 obs::MetricsRegistry* metrics = nullptr,
-                 const CancelToken* cancel = nullptr) {
-  if (query.two_var.empty()) {
-    result->cross_product = true;
-    return Status::Ok();
-  }
-  obs::TraceSpan span(tracer, "form_pairs");
-  Stopwatch timer;
-  const uint64_t checks_before = result->stats.pair_checks;
-  const size_t rows = result->s_sets.size();
-  const size_t cols = result->t_sets.size();
-  if (pool != nullptr && pool->num_threads() > 1 && rows >= 2 && cols > 0 &&
-      rows * cols >= 2048) {
-    const size_t shards = std::min(pool->num_threads() * 4, rows);
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> partial(shards);
-    std::vector<Status> statuses(shards, Status::Ok());
-    pool->ParallelChunks(
-        rows, shards, [&](size_t shard, size_t begin, size_t end) {
-          std::vector<std::pair<uint32_t, uint32_t>>& local = partial[shard];
-          if (cancel != nullptr && cancel->Expired()) {
-            statuses[shard] = CancelToken::ExpiredError("pair formation");
-            return;
-          }
-          for (uint32_t i = static_cast<uint32_t>(begin);
-               i < static_cast<uint32_t>(end); ++i) {
-            for (uint32_t j = 0; j < static_cast<uint32_t>(cols); ++j) {
-              auto ok = EvalAllPairs(query.two_var, result->s_sets[i].items,
-                                     result->t_sets[j].items, catalog);
-              if (!ok.ok()) {
-                statuses[shard] = ok.status();
-                return;
-              }
-              if (ok.value()) local.emplace_back(i, j);
-            }
-          }
-        });
-    for (const Status& st : statuses) CFQ_RETURN_IF_ERROR(st);
-    result->stats.pair_checks +=
-        static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols);
-    for (std::vector<std::pair<uint32_t, uint32_t>>& local : partial) {
-      result->pairs.insert(result->pairs.end(), local.begin(), local.end());
-    }
-  } else {
-    for (uint32_t i = 0; i < rows; ++i) {
-      CFQ_RETURN_IF_ERROR(CheckCancel(cancel, "pair formation"));
-      for (uint32_t j = 0; j < cols; ++j) {
-        ++result->stats.pair_checks;
-        auto ok = EvalAllPairs(query.two_var, result->s_sets[i].items,
-                               result->t_sets[j].items, catalog);
-        if (!ok.ok()) return ok.status();
-        if (ok.value()) result->pairs.emplace_back(i, j);
-      }
-    }
-  }
-  if (tracer != nullptr) {
-    tracer->RecordPairPhase(
-        obs::PairPhaseEvent{result->stats.pair_checks - checks_before,
-                            result->pairs.size(), timer.ElapsedSeconds()});
-  }
-  if (metrics != nullptr) {
-    metrics->Observe("pair.form_seconds", timer.ElapsedSeconds());
-  }
-  return Status::Ok();
-}
-
 CapOptions ToCapOptions(const PlanOptions& options,
                         ThreadPool* pool = nullptr) {
   CapOptions cap;
@@ -253,6 +183,15 @@ CapOptions ToCapOptions(const PlanOptions& options,
   cap.pool = pool;
   cap.cancel = options.cancel;
   return cap;
+}
+
+PairJoinOptions ToJoinOptions(const PlanOptions& options, ThreadPool* pool) {
+  PairJoinOptions join;
+  join.pool = pool;
+  join.cancel = options.cancel;
+  join.tracer = options.tracer;
+  join.metrics = options.metrics;
+  return join;
 }
 
 }  // namespace
@@ -525,9 +464,8 @@ Result<CfqResult> ExecutePlan(TransactionDb* db, const ItemCatalog& catalog,
   result.stats.s.metrics = nullptr;
   result.stats.t.metrics = nullptr;
   result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(catalog, query, &result, options.tracer,
-                                &pool, options.metrics,
-                                options.cancel));
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
+                                ToJoinOptions(options, &pool), &result));
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   result.stats.pair_seconds =
       result.stats.elapsed_seconds - result.stats.mining_seconds;
@@ -576,9 +514,8 @@ Result<CfqResult> ExecuteAprioriPlus(TransactionDb* db,
   result.stats.s = std::move(s.value().stats);
   result.stats.t = std::move(t.value().stats);
   result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(catalog, query, &result, options.tracer,
-                                &pool, options.metrics,
-                                options.cancel));
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
+                                ToJoinOptions(options, &pool), &result));
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   result.stats.pair_seconds =
       result.stats.elapsed_seconds - result.stats.mining_seconds;
@@ -608,9 +545,8 @@ Result<CfqResult> ExecuteCapOneVar(TransactionDb* db,
   result.stats.s = std::move(s.value().stats);
   result.stats.t = std::move(t.value().stats);
   result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(catalog, query, &result, options.tracer,
-                                &pool, options.metrics,
-                                options.cancel));
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
+                                ToJoinOptions(options, &pool), &result));
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   result.stats.pair_seconds =
       result.stats.elapsed_seconds - result.stats.mining_seconds;
@@ -723,9 +659,8 @@ Result<CfqResult> ExecuteFpGrowth(TransactionDb* db,
     result.stats.t = std::move(t.value().stats);
   }
   result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(catalog, query, &result, options.tracer,
-                                &pool, options.metrics,
-                                options.cancel));
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
+                                ToJoinOptions(options, &pool), &result));
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   result.stats.pair_seconds =
       result.stats.elapsed_seconds - result.stats.mining_seconds;
@@ -825,7 +760,7 @@ Result<CfqResult> ExecuteFullMaterialization(TransactionDb* db,
   if (!t.ok()) return t.status();
   result.t_sets = std::move(t).value();
   result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(catalog, query, &result));
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog, {}, &result));
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   result.stats.pair_seconds =
       result.stats.elapsed_seconds - result.stats.mining_seconds;
@@ -851,7 +786,7 @@ Result<CfqResult> ExecuteBruteForce(const TransactionDb& db,
     if (!ok.ok()) return ok.status();
     if (ok.value()) result.t_sets.push_back(f);
   }
-  CFQ_RETURN_IF_ERROR(FormPairs(catalog, query, &result));
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog, {}, &result));
   return result;
 }
 

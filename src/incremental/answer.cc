@@ -7,6 +7,7 @@
 
 #include "common/stopwatch.h"
 #include "constraints/eval.h"
+#include "core/pair_join.h"
 #include "core/reduction.h"
 #include "obs/trace.h"
 
@@ -189,9 +190,9 @@ Result<CfqResult> AnswerFromState(const MiningState& state,
   }
   if (options.reuse != nullptr) options.reuse->MergeFrom(local_reuse);
 
-  // Pair formation: row-major exact verification over prefilter
-  // survivors; emitted (i, j) index the FULL side lists, so surviving
-  // pairs appear in exactly the order an unfiltered scan would emit.
+  // Pair formation over the prefilter survivors; emitted (i, j) index
+  // the FULL side lists, so surviving pairs appear in exactly the order
+  // an unfiltered join would emit.
   Stopwatch pair_timer;
   obs::TraceSpan pair_span(options.tracer, "answer.pair");
   uint64_t prefiltered = 0;
@@ -223,31 +224,19 @@ Result<CfqResult> AnswerFromState(const MiningState& state,
       }
     }
   }
-  for (uint32_t i = 0; i < result.s_sets.size(); ++i) {
-    if (s_ok[i] == 0) continue;
-    Status row_live = CheckCancel(options.cancel, "state answer: pair row");
-    if (!row_live.ok()) return row_live;
-    for (uint32_t j = 0; j < result.t_sets.size(); ++j) {
-      if (t_ok[j] == 0) continue;
-      ++result.stats.pair_checks;
-      CFQ_ASSIGN_OR_RETURN(
-          const bool match,
-          EvalAllPairs(query.two_var, result.s_sets[i].items,
-                       result.t_sets[j].items, catalog));
-      if (match) result.pairs.emplace_back(i, j);
-    }
-  }
+  PairJoinOptions join;
+  join.cancel = options.cancel;
+  join.s_participants = &s_ok;
+  join.t_participants = &t_ok;
+  join.tracer = options.tracer;
+  join.metrics = options.metrics;
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog, join, &result));
   result.stats.pair_seconds = pair_timer.ElapsedSeconds();
   if (options.metrics != nullptr) {
     options.metrics->Observe("incr.answer.pair_seconds",
                              result.stats.pair_seconds);
   }
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  if (options.tracer != nullptr) {
-    options.tracer->RecordPairPhase(obs::PairPhaseEvent{
-        result.stats.pair_checks, result.pairs.size(),
-        result.stats.pair_seconds});
-  }
   if (options.metrics != nullptr) {
     options.metrics->Observe("incr.answer_seconds",
                              result.stats.elapsed_seconds);

@@ -16,14 +16,15 @@ void Fnv1a::Update(const void* data, size_t size) {
 }
 
 uint64_t DigestRows(const std::vector<std::string>& rows) {
-  std::vector<const std::string*> order;
-  order.reserve(rows.size());
-  for (const std::string& row : rows) order.push_back(&row);
-  std::sort(order.begin(), order.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
+  return DigestRowViews(
+      std::vector<std::string_view>(rows.begin(), rows.end()));
+}
+
+uint64_t DigestRowViews(std::vector<std::string_view> rows) {
+  std::sort(rows.begin(), rows.end());
   Fnv1a hash;
-  for (const std::string* row : order) {
-    hash.Update(*row);
+  for (std::string_view row : rows) {
+    hash.Update(row);
     hash.Update("\n", 1);
   }
   return hash.digest();

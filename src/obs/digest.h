@@ -45,6 +45,8 @@ class Fnv1a {
 // The canonical result digest: rows are copied, sorted, and hashed with
 // a '\n' terminator each. `rows` itself is untouched.
 uint64_t DigestRows(const std::vector<std::string>& rows);
+// The same digest over views of the rows (the vector is sorted in place).
+uint64_t DigestRowViews(std::vector<std::string_view> rows);
 
 // 16 lowercase hex digits, zero padded ("00f3a9..."): the one rendering
 // used on every surface so digests compare as strings.

@@ -52,6 +52,7 @@ std::string PayloadFields(const EventPayload& payload) {
     out += "\"checks\":" + std::to_string(pair->checks);
     out += ",\"kept\":" + std::to_string(pair->kept);
     out += ",\"seconds\":" + JsonNumber(pair->seconds);
+    out += ",\"columns_seconds\":" + JsonNumber(pair->columns_seconds);
   } else if (const auto* delta = std::get_if<DeltaEvent>(&payload)) {
     out += "\"from_generation\":" + std::to_string(delta->from_generation);
     out += ",\"to_generation\":" + std::to_string(delta->to_generation);

@@ -4,7 +4,7 @@ namespace cfq::obs {
 
 Tracer::Tracer(size_t capacity)
     : start_(std::chrono::steady_clock::now()),
-      ring_(capacity == 0 ? 1 : capacity) {}
+      capacity_(capacity == 0 ? 1 : capacity) {}
 
 int64_t Tracer::NowMicros() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -19,7 +19,8 @@ void Tracer::Push(const char* name, EventPhase phase, EventPayload payload) {
   // events.
   const int64_t ts = NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
-  TraceEvent& slot = ring_[next_ % ring_.size()];
+  if (ring_.size() < capacity_) ring_.emplace_back();
+  TraceEvent& slot = ring_[next_ % capacity_];
   ++next_;
   slot.name = name;
   slot.phase = phase;
@@ -30,10 +31,10 @@ void Tracer::Push(const char* name, EventPhase phase, EventPayload payload) {
 std::vector<TraceEvent> Tracer::Events() const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t total = next_;
-  const uint64_t n = ring_.size();
+  const uint64_t n = capacity_;
   std::vector<TraceEvent> out;
   if (total <= n) {
-    out.assign(ring_.begin(), ring_.begin() + static_cast<size_t>(total));
+    out.assign(ring_.begin(), ring_.end());
     return out;
   }
   out.reserve(n);
@@ -47,7 +48,7 @@ std::vector<TraceEvent> Tracer::Events() const {
 
 uint64_t Tracer::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_ > ring_.size() ? next_ - ring_.size() : 0;
+  return next_ > capacity_ ? next_ - capacity_ : 0;
 }
 
 }  // namespace cfq::obs

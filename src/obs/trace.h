@@ -8,6 +8,8 @@
 // share one tracer and a snapshot never observes a torn event (the
 // memory model the attribution identity tests rely on). When the ring
 // wraps, the oldest events are overwritten and counted in dropped().
+// The ring grows on demand up to its capacity, so a short-lived tracer
+// (one per served query) costs only the events it records.
 // A null Tracer* everywhere means tracing is off and costs one pointer
 // test per site, so instrumentation stays compiled in.
 //
@@ -58,11 +60,13 @@ struct ScanEvent {
 };
 
 // Pair-formation summary: `checks` candidate pairs verified against the
-// 2-var constraints, `kept` survived.
+// 2-var constraints, `kept` survived; `columns_seconds` is the part of
+// `seconds` spent building the per-set columns (core/pair_join.h).
 struct PairPhaseEvent {
   uint64_t checks = 0;
   uint64_t kept = 0;
   double seconds = 0;
+  double columns_seconds = 0;
 };
 
 // One FUP-style incremental refresh (src/incremental/): the mining
@@ -140,7 +144,8 @@ class Tracer {
 
   std::chrono::steady_clock::time_point start_;
   mutable std::mutex mu_;
-  std::vector<TraceEvent> ring_;
+  const size_t capacity_;
+  std::vector<TraceEvent> ring_;  // Grows to capacity_, then wraps.
   uint64_t next_ = 0;  // Total events ever recorded; guarded by mu_.
 };
 

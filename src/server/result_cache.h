@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -33,7 +34,22 @@ namespace cfq::server {
 // The response payload of a successful `query`, already rendered to the
 // protocol's row strings ("s_items;t_items;s_support;t_support").
 struct CachedAnswer {
-  std::vector<std::string> rows;
+  // The rows back to back in one buffer, row k ending at row_ends[k]:
+  // a cached answer is two allocations however many rows it holds, so
+  // a full cache does not pin millions of small heap chunks.
+  std::string row_text;
+  std::vector<size_t> row_ends;
+  size_t num_rows() const { return row_ends.size(); }
+  std::string_view row(size_t k) const {
+    const size_t begin = k == 0 ? 0 : row_ends[k - 1];
+    return std::string_view(row_text).substr(begin, row_ends[k] - begin);
+  }
+  std::vector<std::string_view> rows() const {
+    std::vector<std::string_view> out;
+    out.reserve(num_rows());
+    for (size_t k = 0; k < num_rows(); ++k) out.push_back(row(k));
+    return out;
+  }
   uint64_t s_sets = 0;
   uint64_t t_sets = 0;
   uint64_t num_pairs = 0;   // Pre-cap pair count (cross products expanded).

@@ -46,10 +46,45 @@ std::string JoinItems(const Itemset& items) {
   return out;
 }
 
-// One protocol row per answer pair, same shape as cfq_mine's CSV body.
-std::string PairRow(const FrequentSet& s, const FrequentSet& t) {
-  return JoinItems(s.items) + ';' + JoinItems(t.items) + ';' +
-         std::to_string(s.support) + ';' + std::to_string(t.support);
+// One side's row fragments ("<items>" and "<support>"), each rendered
+// the first time a row needs it, so a set is formatted once per answer
+// however many rows it appears in, and never if it appears in none.
+class SideFragments {
+ public:
+  explicit SideFragments(const std::vector<FrequentSet>& sets)
+      : sets_(sets), items_(sets.size()), supports_(sets.size()),
+        rendered_(sets.size(), 0) {}
+
+  const std::string& items(uint32_t k) {
+    Render(k);
+    return items_[k];
+  }
+  const std::string& support(uint32_t k) {
+    Render(k);
+    return supports_[k];
+  }
+
+ private:
+  void Render(uint32_t k) {
+    if (rendered_[k] != 0) return;
+    rendered_[k] = 1;
+    items_[k] = JoinItems(sets_[k].items);
+    supports_[k] = std::to_string(sets_[k].support);
+  }
+
+  const std::vector<FrequentSet>& sets_;
+  std::vector<std::string> items_;
+  std::vector<std::string> supports_;
+  std::vector<char> rendered_;
+};
+
+JsonValue::Array RowsJson(const CachedAnswer& answer) {
+  JsonValue::Array rows;
+  rows.reserve(answer.num_rows());
+  for (size_t k = 0; k < answer.num_rows(); ++k) {
+    rows.push_back(std::string(answer.row(k)));
+  }
+  return rows;
 }
 
 // Decodes a "transactions" array-of-arrays (append/ingest requests).
@@ -76,9 +111,8 @@ Result<std::vector<std::vector<ItemId>>> DecodeBatch(
   return batch;
 }
 
-// Renders a finished result into the cacheable answer: protocol rows
-// (row-major, capped at `max_rows`), pre-cap pair count, and the
-// FNV-1a digest (obs/digest.h) cache hits return byte-for-byte.
+}  // namespace
+
 std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
                                            uint64_t max_rows,
                                            const std::string& canonical) {
@@ -87,29 +121,46 @@ std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
   fresh->s_sets = result.s_sets.size();
   fresh->t_sets = result.t_sets.size();
   fresh->cross_product = result.cross_product;
-  if (result.cross_product) {
-    fresh->num_pairs = static_cast<uint64_t>(result.s_sets.size()) *
-                       static_cast<uint64_t>(result.t_sets.size());
-    for (const FrequentSet& s : result.s_sets) {
-      for (const FrequentSet& t : result.t_sets) {
-        if (fresh->rows.size() >= max_rows) break;
-        fresh->rows.push_back(PairRow(s, t));
-      }
-      if (fresh->rows.size() >= max_rows) break;
+  fresh->num_pairs =
+      result.cross_product
+          ? static_cast<uint64_t>(result.s_sets.size()) *
+                static_cast<uint64_t>(result.t_sets.size())
+          : result.pairs.size();
+  // Row r of the answer: the pair (r / |T|, r % |T|) of a cross
+  // product, else pairs[r].
+  const uint64_t emitted = std::min(max_rows, fresh->num_pairs);
+  const uint64_t cols = result.t_sets.size();
+  const auto pair_at = [&](uint64_t r) -> std::pair<uint32_t, uint32_t> {
+    if (result.cross_product) {
+      return {static_cast<uint32_t>(r / cols), static_cast<uint32_t>(r % cols)};
     }
-  } else {
-    fresh->num_pairs = result.pairs.size();
-    for (const auto& [i, j] : result.pairs) {
-      if (fresh->rows.size() >= max_rows) break;
-      fresh->rows.push_back(PairRow(result.s_sets[i], result.t_sets[j]));
-    }
+    return result.pairs[r];
+  };
+  SideFragments s_side(result.s_sets), t_side(result.t_sets);
+  size_t bytes = 0;
+  for (uint64_t r = 0; r < emitted; ++r) {
+    const auto [i, j] = pair_at(r);
+    bytes += s_side.items(i).size() + t_side.items(j).size() +
+             s_side.support(i).size() + t_side.support(j).size() + 3;
   }
-  fresh->truncated = fresh->rows.size() < fresh->num_pairs;
-  fresh->digest = obs::RowsDigestHex(fresh->rows);
+  fresh->row_text.reserve(bytes);
+  fresh->row_ends.reserve(emitted);
+  for (uint64_t r = 0; r < emitted; ++r) {
+    const auto [i, j] = pair_at(r);
+    std::string& text = fresh->row_text;
+    text += s_side.items(i);
+    text += ';';
+    text += t_side.items(j);
+    text += ';';
+    text += s_side.support(i);
+    text += ';';
+    text += t_side.support(j);
+    fresh->row_ends.push_back(text.size());
+  }
+  fresh->truncated = fresh->num_rows() < fresh->num_pairs;
+  fresh->digest = obs::DigestHex(obs::DigestRowViews(fresh->rows()));
   return fresh;
 }
-
-}  // namespace
 
 // The per-query trace: its own small event ring (so one query's spans
 // never interleave with another's) plus the phase accumulator whose
@@ -853,6 +904,7 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
     render_phase.End();
   }
 
+  obs::ScopedPhase respond_phase(&trace->phases, &trace->tracer, "respond");
   JsonValue::Object response;
   response["status"] = "OK";
   response["dataset"] = name;
@@ -867,10 +919,7 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
   response["cross_product"] = answer->cross_product;
   response["truncated"] = answer->truncated;
   response["digest"] = answer->digest;
-  JsonValue::Array rows;
-  rows.reserve(answer->rows.size());
-  for (const std::string& row : answer->rows) rows.push_back(row);
-  response["rows"] = std::move(rows);
+  response["rows"] = RowsJson(*answer);
   return response;
 }
 
@@ -983,6 +1032,7 @@ JsonValue::Object QueryService::ExecuteStream(const JsonValue& request,
     render_phase.End();
   }
 
+  obs::ScopedPhase respond_phase(&trace->phases, &trace->tracer, "respond");
   JsonValue::Object response;
   response["status"] = "OK";
   response["dataset"] = name;
@@ -1005,10 +1055,7 @@ JsonValue::Object QueryService::ExecuteStream(const JsonValue& request,
   window["eps"] = info.eps;
   window["exact"] = info.exact;
   response["window"] = std::move(window);
-  JsonValue::Array rows;
-  rows.reserve(answer->rows.size());
-  for (const std::string& row : answer->rows) rows.push_back(row);
-  response["rows"] = std::move(rows);
+  response["rows"] = RowsJson(*answer);
   return response;
 }
 

@@ -64,7 +64,7 @@ struct ServiceOptions {
   size_t flight_recorder_slow = 32;
   double slow_query_threshold_seconds = 1.0;
   // Per-query tracer ring capacity (events retained per trace). The
-  // ring is preallocated per query, so keep it modest.
+  // ring grows with the events a query records, up to this bound.
   size_t query_trace_capacity = 4096;
   // Workload capture: when non-empty, every served query (success or
   // error) is appended to rotating audit-*.jsonl files in this
@@ -202,6 +202,15 @@ class QueryService {
       std::chrono::steady_clock::now();
   std::atomic<bool> shutdown_requested_{false};
 };
+
+// Renders a finished result into the cacheable answer: protocol rows
+// "s_items;t_items;s_support;t_support" (row-major, capped at
+// `max_rows`), the pre-cap pair count, and the FNV-1a digest
+// (obs/digest.h) cache hits return byte-for-byte. Each side set is
+// formatted at most once, and only if it appears in an emitted row.
+std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
+                                           uint64_t max_rows,
+                                           const std::string& canonical);
 
 }  // namespace cfq::server
 

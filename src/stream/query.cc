@@ -9,6 +9,7 @@
 #include "constraints/agg.h"
 #include "constraints/eval.h"
 #include "core/optimizer.h"
+#include "core/pair_join.h"
 
 namespace cfq::stream {
 
@@ -190,25 +191,13 @@ Result<CfqResult> ExecuteStreamQuery(const PatternTree& tree,
   }
   result.stats.mining_seconds = timer.ElapsedSeconds();
 
-  // Pair formation: serial row-major verification, reproducing the
-  // executor's order exactly (digest identity with the offline path).
-  if (query.two_var.empty()) {
-    result.cross_product = true;
-  } else {
-    obs::TraceSpan pair_span(options.tracer, "form_pairs");
-    for (uint32_t i = 0; i < result.s_sets.size(); ++i) {
-      if (options.cancel != nullptr && options.cancel->Expired()) {
-        return CancelToken::ExpiredError("stream pair formation");
-      }
-      for (uint32_t j = 0; j < result.t_sets.size(); ++j) {
-        ++result.stats.pair_checks;
-        auto ok = EvalAllPairs(query.two_var, result.s_sets[i].items,
-                               result.t_sets[j].items, attrs);
-        if (!ok.ok()) return ok.status();
-        if (ok.value()) result.pairs.emplace_back(i, j);
-      }
-    }
-  }
+  // Pair formation through the shared join: the executor's row-major
+  // order exactly (digest identity with the offline path).
+  PairJoinOptions join;
+  join.cancel = options.cancel;
+  join.tracer = options.tracer;
+  join.metrics = options.metrics;
+  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, attrs, join, &result));
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   result.stats.pair_seconds =
       result.stats.elapsed_seconds - result.stats.mining_seconds;

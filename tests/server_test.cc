@@ -14,11 +14,13 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "obs/digest.h"
 #include "server/admission.h"
 #include "server/client.h"
 #include "server/http.h"
@@ -28,6 +30,79 @@
 
 namespace cfq::server {
 namespace {
+
+// --- Answer rendering ------------------------------------------------
+
+// The per-pair rendering RenderAnswer replaced: both item lists joined
+// and both supports formatted again for every row.
+std::string PerPairRow(const FrequentSet& s, const FrequentSet& t) {
+  const auto join = [](const Itemset& items) {
+    std::string out;
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) out += ' ';
+      out += std::to_string(items[i]);
+    }
+    return out;
+  };
+  return join(s.items) + ';' + join(t.items) + ';' +
+         std::to_string(s.support) + ';' + std::to_string(t.support);
+}
+
+std::vector<std::string> PerPairRows(const CfqResult& result,
+                                     uint64_t max_rows) {
+  std::vector<std::string> rows;
+  if (result.cross_product) {
+    for (const FrequentSet& s : result.s_sets) {
+      for (const FrequentSet& t : result.t_sets) {
+        if (rows.size() >= max_rows) return rows;
+        rows.push_back(PerPairRow(s, t));
+      }
+    }
+    return rows;
+  }
+  for (const auto& [i, j] : result.pairs) {
+    if (rows.size() >= max_rows) break;
+    rows.push_back(PerPairRow(result.s_sets[i], result.t_sets[j]));
+  }
+  return rows;
+}
+
+TEST(RenderAnswerTest, RowsAndDigestMatchPerPairRendering) {
+  std::mt19937 rng(5);
+  CfqResult result;
+  for (int k = 0; k < 9; ++k) {
+    Itemset items;
+    for (ItemId x = 0; x < 12; ++x) {
+      if (rng() % 3 == 0) items.push_back(x);
+    }
+    result.s_sets.push_back(FrequentSet{items, 100u + rng() % 900});
+    result.t_sets.push_back(FrequentSet{items, 1u + rng() % 9});
+  }
+  result.t_sets.pop_back();
+  for (uint32_t i = 0; i < result.s_sets.size(); ++i) {
+    for (uint32_t j = 0; j < result.t_sets.size(); ++j) {
+      if (rng() % 2 == 0) result.pairs.emplace_back(i, j);
+    }
+  }
+  for (bool cross : {false, true}) {
+    result.cross_product = cross;
+    const uint64_t total =
+        cross ? result.s_sets.size() * result.t_sets.size()
+              : result.pairs.size();
+    for (uint64_t max_rows : {uint64_t{0}, uint64_t{1}, uint64_t{7},
+                              total - 1, total, total + 5}) {
+      const std::vector<std::string> want = PerPairRows(result, max_rows);
+      auto answer = RenderAnswer(result, max_rows, "q");
+      const std::vector<std::string_view> views = answer->rows();
+      EXPECT_EQ(std::vector<std::string>(views.begin(), views.end()), want)
+          << "cross " << cross << " max_rows " << max_rows;
+      EXPECT_EQ(answer->digest, obs::RowsDigestHex(want));
+      EXPECT_EQ(answer->num_pairs, total);
+      EXPECT_EQ(answer->truncated, want.size() < total);
+      EXPECT_EQ(answer->canonical_query, "q");
+    }
+  }
+}
 
 // --- JSON codec ------------------------------------------------------
 
