@@ -5,6 +5,11 @@
 // reductions feed: BM_PairJoin/nested is the EvalAllPairs loop over
 // every (S, T) pair, BM_PairJoin/columns the per-set-column join
 // (core/pair_join.h), both serial over the same 2000 x 2000 side sets.
+// On that answer capped at 100k rows, as the daemon serves it:
+// BM_AnswerDigest/rows is the reference digest that sorts the row
+// strings (obs::DigestRowViews), BM_AnswerDigest/ranked the per-side
+// rank digest RenderAnswer computes (server::AnswerDigest), and
+// BM_RespondLine writes one cached answer's response line.
 //
 // --bench_json=FILE and --quick as in micro_counting (bench/gbench_main.h).
 
@@ -17,6 +22,8 @@
 #include "core/pair_join.h"
 #include "core/reduction.h"
 #include "mining/apriori.h"
+#include "obs/digest.h"
+#include "server/service.h"
 
 namespace cfq {
 namespace {
@@ -165,6 +172,54 @@ void BM_PairJoin(benchmark::State& state, bool columns) {
 }
 BENCHMARK_CAPTURE(BM_PairJoin, nested, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PairJoin, columns, true)->Unit(benchmark::kMillisecond);
+
+constexpr uint64_t kServedRows = 100000;  // The daemon's default row cap.
+
+const CfqResult& SharedPairAnswer() {
+  static CfqResult* answer = [] {
+    const PairFixture& f = SharedPairFixture();
+    auto* result = new CfqResult;
+    result->s_sets = f.sides.s_sets;
+    result->t_sets = f.sides.t_sets;
+    (void)FormPairs(f.two_var, f.catalog, {}, result);
+    return result;
+  }();
+  return *answer;
+}
+
+void BM_AnswerDigest(benchmark::State& state, bool ranked) {
+  const CfqResult& answer = SharedPairAnswer();
+  std::vector<std::string> rows;
+  if (!ranked) {
+    auto rendered = server::RenderAnswer(answer, kServedRows, "");
+    auto parsed = server::JsonValue::Parse(*rendered->rows_json);
+    for (const server::JsonValue& row : parsed->as_array()) {
+      rows.push_back(row.as_string());
+    }
+  }
+  const std::vector<std::string_view> views(rows.begin(), rows.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ranked ? server::AnswerDigest(answer, kServedRows)
+                                    : obs::DigestRowViews(views));
+  }
+}
+BENCHMARK_CAPTURE(BM_AnswerDigest, rows, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AnswerDigest, ranked, true)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_RespondLine(benchmark::State& state) {
+  const auto answer = server::RenderAnswer(SharedPairAnswer(), kServedRows, "");
+  for (auto _ : state) {
+    server::JsonValue::Object response = server::AnswerResponse(*answer);
+    response["cached"] = true;
+    std::string line = server::JsonValue(std::move(response)).Write();
+    line += '\n';
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RespondLine)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cfq

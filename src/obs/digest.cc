@@ -5,16 +5,6 @@
 
 namespace cfq::obs {
 
-void Fnv1a::Update(const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint64_t state = state_;
-  for (size_t i = 0; i < size; ++i) {
-    state ^= static_cast<uint64_t>(bytes[i]);
-    state *= 0x100000001b3ULL;
-  }
-  state_ = state;
-}
-
 uint64_t DigestRows(const std::vector<std::string>& rows) {
   return DigestRowViews(
       std::vector<std::string_view>(rows.begin(), rows.end()));

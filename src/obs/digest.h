@@ -18,6 +18,10 @@
 // Digests render as 16 lowercase hex digits (DigestHex) everywhere:
 // wire responses, audit logs, EXPLAIN ANALYZE, and cfq_replay's
 // --verify-digests comparison.
+//
+// DigestRows is the reference. The daemon computes the same value for
+// its answers from per-side ranks, without sorting row strings
+// (server::AnswerDigest).
 
 #ifndef CFQ_OBS_DIGEST_H_
 #define CFQ_OBS_DIGEST_H_
@@ -34,7 +38,15 @@ namespace cfq::obs {
 // prime 0x100000001b3).
 class Fnv1a {
  public:
-  void Update(const void* data, size_t size);
+  void Update(const void* data, size_t size) {
+    const unsigned char* bytes = static_cast<const unsigned char*>(data);
+    uint64_t state = state_;
+    for (size_t i = 0; i < size; ++i) {
+      state ^= static_cast<uint64_t>(bytes[i]);
+      state *= 0x100000001b3ULL;
+    }
+    state_ = state;
+  }
   void Update(std::string_view text) { Update(text.data(), text.size()); }
   uint64_t digest() const { return state_; }
 

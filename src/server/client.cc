@@ -75,13 +75,28 @@ Result<std::string> Client::CallRaw(const std::string& line) {
     sent += static_cast<size_t>(n);
   }
   char chunk[64 * 1024];
+  // Bytes of buffer_ already searched for the newline: each recv'd
+  // chunk is scanned once, however many chunks a response spans.
+  size_t scanned = 0;
   while (true) {
-    const size_t newline = buffer_.find('\n');
+    const size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
-      std::string response = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+      std::string response;
+      if (newline + 1 == buffer_.size()) {
+        // The usual case: the line ends the buffer, so hand the buffer
+        // itself back instead of copying it out, and give the next
+        // response the same room (regrowing it from empty costs more
+        // than the copy saved).
+        buffer_.pop_back();
+        response.swap(buffer_);
+        buffer_.reserve(response.capacity());
+      } else {
+        response = buffer_.substr(0, newline);
+        buffer_.erase(0, newline + 1);
+      }
       return response;
     }
+    scanned = buffer_.size();
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;

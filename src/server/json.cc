@@ -230,8 +230,10 @@ void WriteValue(const JsonValue& value, std::string* out) {
     *out += JsonNumber(value.as_number());
   } else if (value.is_string()) {
     *out += '"';
-    *out += JsonEscape(value.as_string());
+    JsonEscape(value.as_string(), out);
     *out += '"';
+  } else if (value.is_pre_encoded()) {
+    *out += value.as_pre_encoded();
   } else if (value.is_array()) {
     *out += '[';
     bool first = true;
@@ -248,7 +250,7 @@ void WriteValue(const JsonValue& value, std::string* out) {
       if (!first) *out += ',';
       first = false;
       *out += '"';
-      *out += JsonEscape(key);
+      JsonEscape(key, out);
       *out += "\":";
       WriteValue(v, out);
     }
@@ -257,6 +259,12 @@ void WriteValue(const JsonValue& value, std::string* out) {
 }
 
 }  // namespace
+
+JsonValue JsonValue::PreEncoded(std::shared_ptr<const std::string> text) {
+  JsonValue value;
+  value.value_ = std::move(text);
+  return value;
+}
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (!is_object()) return nullptr;
@@ -298,28 +306,36 @@ Result<JsonValue> JsonValue::Parse(const std::string& text, size_t max_depth) {
   return Parser(text, max_depth).Run();
 }
 
+void JsonEscape(std::string_view s, std::string* out) {
+  size_t run = 0;  // Start of the pending run of bytes copied as is.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(s, run, s.size() - run);
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  JsonEscape(s, &out);
   return out;
 }
 

@@ -23,42 +23,30 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.h"
 
 namespace cfq::server {
 
-// The response payload of a successful `query`, already rendered to the
-// protocol's row strings ("s_items;t_items;s_support;t_support").
+// The response payload of a successful `query`. The rows
+// ("s_items;t_items;s_support;t_support") are encoded once, when the
+// answer is rendered, as one JSON array (`["r0","r1",...]`) that every
+// response splices in verbatim (JsonValue::PreEncoded). There are no
+// per-row strings or offsets: a cached answer is one buffer however
+// many rows it holds, and hits write the same bytes as the miss did.
 struct CachedAnswer {
-  // The rows back to back in one buffer, row k ending at row_ends[k]:
-  // a cached answer is two allocations however many rows it holds, so
-  // a full cache does not pin millions of small heap chunks.
-  std::string row_text;
-  std::vector<size_t> row_ends;
-  size_t num_rows() const { return row_ends.size(); }
-  std::string_view row(size_t k) const {
-    const size_t begin = k == 0 ? 0 : row_ends[k - 1];
-    return std::string_view(row_text).substr(begin, row_ends[k] - begin);
-  }
-  std::vector<std::string_view> rows() const {
-    std::vector<std::string_view> out;
-    out.reserve(num_rows());
-    for (size_t k = 0; k < num_rows(); ++k) out.push_back(row(k));
-    return out;
-  }
+  std::shared_ptr<const std::string> rows_json;
+  uint64_t num_rows = 0;    // Rows in rows_json.
   uint64_t s_sets = 0;
   uint64_t t_sets = 0;
   uint64_t num_pairs = 0;   // Pre-cap pair count (cross products expanded).
   bool cross_product = false;
   bool truncated = false;   // rows hit the row cap.
   std::string canonical_query;
-  // FNV-1a digest of `rows` in canonical (sorted) order, 16 hex digits
-  // (obs/digest.h). Computed once when the answer is rendered so cache
-  // hits return the identical digest without touching the rows again.
+  // FNV-1a digest of the rows in canonical (sorted) order, 16 hex
+  // digits (obs/digest.h). Computed once when the answer is rendered so
+  // cache hits return the identical digest without touching the rows.
   std::string digest;
 };
 

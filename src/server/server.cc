@@ -160,7 +160,8 @@ void Server::ServeConnection(int fd) {
         response_line =
             ErrorLine("BAD_REQUEST", request.status().ToString());
       } else {
-        response_line = service_->Handle(request.value()).Write() + "\n";
+        response_line = service_->Handle(request.value()).Write();
+        response_line += '\n';
       }
       if (!SendAll(fd, response_line)) {
         count_error();

@@ -37,6 +37,16 @@ JsonValue ErrorResponse(const std::string& status, const std::string& error) {
   return ErrorObject(status, error);
 }
 
+// Item text is decimal item ids joined by single spaces: every byte is
+// a digit or a space, below ';' (0x3B), and none is escaped by JSON.
+// The answer path relies on two consequences of that byte invariant:
+//  - a row "A;B;a;b" (items and supports of S and T) is encoded as a
+//    JSON string by quoting it, with no escape pass;
+//  - two rows compare in byte order exactly as their (A;, B;) heads do:
+//    heads that differ first differ at or before their ';', where both
+//    rows still agree with them, so row order is the order of the S
+//    head and then the T head. A side never lists the same itemset
+//    twice, so equal heads mean the same pair, i.e. the same row.
 std::string JoinItems(const Itemset& items) {
   std::string out;
   for (size_t i = 0; i < items.size(); ++i) {
@@ -46,45 +56,120 @@ std::string JoinItems(const Itemset& items) {
   return out;
 }
 
-// One side's row fragments ("<items>" and "<support>"), each rendered
-// the first time a row needs it, so a set is formatted once per answer
-// however many rows it appears in, and never if it appears in none.
+// The first `max_rows` rows of an answer: row r is the pair
+// (r / |T|, r % |T|) of a cross product, else pairs[r].
+class AnswerRows {
+ public:
+  AnswerRows(const CfqResult& result, uint64_t max_rows)
+      : result_(result),
+        total_(result.cross_product
+                   ? static_cast<uint64_t>(result.s_sets.size()) *
+                         static_cast<uint64_t>(result.t_sets.size())
+                   : result.pairs.size()),
+        size_(std::min(max_rows, total_)) {}
+
+  uint64_t total() const { return total_; }  // Pre-cap pair count.
+  uint64_t size() const { return size_; }
+  std::pair<uint32_t, uint32_t> operator[](uint64_t r) const {
+    if (result_.cross_product) {
+      const uint64_t cols = result_.t_sets.size();
+      return {static_cast<uint32_t>(r / cols), static_cast<uint32_t>(r % cols)};
+    }
+    return result_.pairs[r];
+  }
+
+ private:
+  const CfqResult& result_;
+  const uint64_t total_;
+  const uint64_t size_;
+};
+
+// One side's row fragments: `head` is the item text plus its ';', and
+// `support` the decimal support. Each is rendered the first time a row
+// needs it, so a set is formatted once per answer however many rows it
+// appears in, and never if it appears in none.
 class SideFragments {
  public:
   explicit SideFragments(const std::vector<FrequentSet>& sets)
-      : sets_(sets), items_(sets.size()), supports_(sets.size()),
-        rendered_(sets.size(), 0) {}
+      : sets_(sets), heads_(sets.size()), supports_(sets.size()),
+        rank_(sets.size(), kUnrendered) {}
 
-  const std::string& items(uint32_t k) {
+  const std::string& head(uint32_t k) {
     Render(k);
-    return items_[k];
+    return heads_[k];
   }
   const std::string& support(uint32_t k) {
     Render(k);
     return supports_[k];
   }
 
+  // Ranks the rendered sets by the byte order of their heads, once
+  // every row's sets are rendered: rank(k) of set k, set_of_rank(r).
+  void Rank() {
+    std::sort(by_rank_.begin(), by_rank_.end(),
+              [this](uint32_t a, uint32_t b) { return heads_[a] < heads_[b]; });
+    for (uint32_t r = 0; r < by_rank_.size(); ++r) rank_[by_rank_[r]] = r;
+  }
+  uint32_t num_ranked() const { return static_cast<uint32_t>(by_rank_.size()); }
+  uint32_t rank(uint32_t k) const { return rank_[k]; }
+  uint32_t set_of_rank(uint32_t r) const { return by_rank_[r]; }
+
  private:
+  static constexpr uint32_t kUnrendered = ~uint32_t{0};
+
   void Render(uint32_t k) {
-    if (rendered_[k] != 0) return;
-    rendered_[k] = 1;
-    items_[k] = JoinItems(sets_[k].items);
+    if (rank_[k] != kUnrendered) return;
+    rank_[k] = 0;
+    by_rank_.push_back(k);
+    heads_[k] = JoinItems(sets_[k].items) + ';';
     supports_[k] = std::to_string(sets_[k].support);
   }
 
   const std::vector<FrequentSet>& sets_;
-  std::vector<std::string> items_;
+  std::vector<std::string> heads_;
   std::vector<std::string> supports_;
-  std::vector<char> rendered_;
+  std::vector<uint32_t> rank_;     // kUnrendered until rendered.
+  std::vector<uint32_t> by_rank_;  // Rendered sets; by rank after Rank().
 };
 
-JsonValue::Array RowsJson(const CachedAnswer& answer) {
-  JsonValue::Array rows;
-  rows.reserve(answer.num_rows());
-  for (size_t k = 0; k < answer.num_rows(); ++k) {
-    rows.push_back(std::string(answer.row(k)));
+// The canonical digest (obs/digest.h: FNV-1a over the rows in byte
+// order, '\n' after each) without building or sorting a row string. By
+// JoinItems' byte invariant the row order is the order of (S rank,
+// T rank), so the rows are put in that order by two counting sorts (by
+// T rank, then stably by S rank) and hashed from their fragments.
+// Every row's sets must be rendered.
+uint64_t RankedDigest(const AnswerRows& rows, SideFragments* s_side,
+                      SideFragments* t_side) {
+  s_side->Rank();
+  t_side->Rank();
+  using Ranks = std::pair<uint32_t, uint32_t>;  // (S rank, T rank).
+  // Stable counting sort of `in` into `out` by one of the two ranks.
+  const auto counting_sort = [](const std::vector<Ranks>& in, uint32_t ranks,
+                                uint32_t Ranks::*key, std::vector<Ranks>* out) {
+    std::vector<uint64_t> end(static_cast<size_t>(ranks) + 1, 0);
+    for (const Ranks& r : in) ++end[r.*key + 1];
+    for (size_t k = 1; k < end.size(); ++k) end[k] += end[k - 1];
+    for (const Ranks& r : in) (*out)[end[r.*key]++] = r;
+  };
+  std::vector<Ranks> by_row(rows.size()), by_t(rows.size());
+  for (uint64_t r = 0; r < rows.size(); ++r) {
+    const auto [i, j] = rows[r];
+    by_row[r] = {s_side->rank(i), t_side->rank(j)};
   }
-  return rows;
+  counting_sort(by_row, t_side->num_ranked(), &Ranks::second, &by_t);
+  counting_sort(by_t, s_side->num_ranked(), &Ranks::first, &by_row);
+  obs::Fnv1a hash;
+  for (const auto& [s_rank, t_rank] : by_row) {
+    const uint32_t i = s_side->set_of_rank(s_rank);
+    const uint32_t j = t_side->set_of_rank(t_rank);
+    hash.Update(s_side->head(i));
+    hash.Update(t_side->head(j));
+    hash.Update(s_side->support(i));
+    hash.Update(";", 1);
+    hash.Update(t_side->support(j));
+    hash.Update("\n", 1);
+  }
+  return hash.digest();
 }
 
 // Decodes a "transactions" array-of-arrays (append/ingest requests).
@@ -121,45 +206,60 @@ std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
   fresh->s_sets = result.s_sets.size();
   fresh->t_sets = result.t_sets.size();
   fresh->cross_product = result.cross_product;
-  fresh->num_pairs =
-      result.cross_product
-          ? static_cast<uint64_t>(result.s_sets.size()) *
-                static_cast<uint64_t>(result.t_sets.size())
-          : result.pairs.size();
-  // Row r of the answer: the pair (r / |T|, r % |T|) of a cross
-  // product, else pairs[r].
-  const uint64_t emitted = std::min(max_rows, fresh->num_pairs);
-  const uint64_t cols = result.t_sets.size();
-  const auto pair_at = [&](uint64_t r) -> std::pair<uint32_t, uint32_t> {
-    if (result.cross_product) {
-      return {static_cast<uint32_t>(r / cols), static_cast<uint32_t>(r % cols)};
-    }
-    return result.pairs[r];
-  };
+  const AnswerRows rows(result, max_rows);
+  fresh->num_pairs = rows.total();
+  fresh->num_rows = rows.size();
+  fresh->truncated = rows.size() < rows.total();
   SideFragments s_side(result.s_sets), t_side(result.t_sets);
-  size_t bytes = 0;
-  for (uint64_t r = 0; r < emitted; ++r) {
-    const auto [i, j] = pair_at(r);
-    bytes += s_side.items(i).size() + t_side.items(j).size() +
-             s_side.support(i).size() + t_side.support(j).size() + 3;
+  size_t bytes = 2;  // '[' ']'
+  for (uint64_t r = 0; r < rows.size(); ++r) {
+    const auto [i, j] = rows[r];
+    bytes += s_side.head(i).size() + t_side.head(j).size() +
+             s_side.support(i).size() + t_side.support(j).size() + 4;
   }
-  fresh->row_text.reserve(bytes);
-  fresh->row_ends.reserve(emitted);
-  for (uint64_t r = 0; r < emitted; ++r) {
-    const auto [i, j] = pair_at(r);
-    std::string& text = fresh->row_text;
-    text += s_side.items(i);
-    text += ';';
-    text += t_side.items(j);
-    text += ';';
-    text += s_side.support(i);
-    text += ';';
-    text += t_side.support(j);
-    fresh->row_ends.push_back(text.size());
+  auto text = std::make_shared<std::string>();
+  text->reserve(bytes);
+  *text += '[';
+  for (uint64_t r = 0; r < rows.size(); ++r) {
+    const auto [i, j] = rows[r];
+    if (r > 0) *text += ',';
+    *text += '"';
+    *text += s_side.head(i);
+    *text += t_side.head(j);
+    *text += s_side.support(i);
+    *text += ';';
+    *text += t_side.support(j);
+    *text += '"';
   }
-  fresh->truncated = fresh->num_rows() < fresh->num_pairs;
-  fresh->digest = obs::DigestHex(obs::DigestRowViews(fresh->rows()));
+  *text += ']';
+  fresh->rows_json = std::move(text);
+  fresh->digest = obs::DigestHex(RankedDigest(rows, &s_side, &t_side));
   return fresh;
+}
+
+uint64_t AnswerDigest(const CfqResult& result, uint64_t max_rows) {
+  const AnswerRows rows(result, max_rows);
+  SideFragments s_side(result.s_sets), t_side(result.t_sets);
+  for (uint64_t r = 0; r < rows.size(); ++r) {
+    const auto [i, j] = rows[r];
+    s_side.head(i);
+    t_side.head(j);
+  }
+  return RankedDigest(rows, &s_side, &t_side);
+}
+
+JsonValue::Object AnswerResponse(const CachedAnswer& answer) {
+  JsonValue::Object response;
+  response["status"] = "OK";
+  response["canonical_query"] = answer.canonical_query;
+  response["s_sets"] = static_cast<int64_t>(answer.s_sets);
+  response["t_sets"] = static_cast<int64_t>(answer.t_sets);
+  response["num_pairs"] = static_cast<int64_t>(answer.num_pairs);
+  response["cross_product"] = answer.cross_product;
+  response["truncated"] = answer.truncated;
+  response["digest"] = answer.digest;
+  response["rows"] = JsonValue::PreEncoded(answer.rows_json);
+  return response;
 }
 
 // The per-query trace: its own small event ring (so one query's spans
@@ -178,6 +278,7 @@ struct QueryService::QueryTrace {
   std::string strategy;
   std::string source = "cold";
   std::string client_trace_id;
+  uint64_t rows = 0;  // Rows in the answer served, for the audit record.
 };
 
 QueryService::QueryService(const ServiceOptions& options,
@@ -565,7 +666,7 @@ JsonValue QueryService::HandleDatasets() {
     JsonValue::Array attrs;
     for (const std::string& attr : info.attrs) attrs.push_back(attr);
     row["attrs"] = std::move(attrs);
-    rows.push_back(std::move(row));
+    rows.emplace_back(std::move(row));
   }
   JsonValue::Object response;
   response["status"] = "OK";
@@ -678,10 +779,7 @@ JsonValue QueryService::HandleQuery(const JsonValue& request) {
       if (unit_it != response.end() && unit_it->second.is_number()) {
         record.unit = static_cast<int64_t>(unit_it->second.as_number());
       }
-      const auto rows = response.find("rows");
-      if (rows != response.end() && rows->second.is_array()) {
-        record.rows = rows->second.as_array().size();
-      }
+      record.rows = trace.rows;
       const auto cached_flag = response.find("cached");
       record.cached = cached_flag != response.end() &&
                       cached_flag->second.is_bool() &&
@@ -905,21 +1003,13 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
   }
 
   obs::ScopedPhase respond_phase(&trace->phases, &trace->tracer, "respond");
-  JsonValue::Object response;
-  response["status"] = "OK";
+  trace->rows = answer->num_rows;
+  JsonValue::Object response = AnswerResponse(*answer);
   response["dataset"] = name;
   response["generation"] = static_cast<int64_t>(entry->generation);
   response["strategy"] = strategy;
   response["source"] = trace->source;
-  response["canonical_query"] = answer->canonical_query;
   response["cached"] = cached;
-  response["s_sets"] = static_cast<int64_t>(answer->s_sets);
-  response["t_sets"] = static_cast<int64_t>(answer->t_sets);
-  response["num_pairs"] = static_cast<int64_t>(answer->num_pairs);
-  response["cross_product"] = answer->cross_product;
-  response["truncated"] = answer->truncated;
-  response["digest"] = answer->digest;
-  response["rows"] = RowsJson(*answer);
   return response;
 }
 
@@ -1033,19 +1123,12 @@ JsonValue::Object QueryService::ExecuteStream(const JsonValue& request,
   }
 
   obs::ScopedPhase respond_phase(&trace->phases, &trace->tracer, "respond");
-  JsonValue::Object response;
-  response["status"] = "OK";
+  trace->rows = answer->num_rows;
+  JsonValue::Object response = AnswerResponse(*answer);
   response["dataset"] = name;
   response["strategy"] = "stream";
   response["source"] = trace->source;
-  response["canonical_query"] = answer->canonical_query;
   response["cached"] = cached;
-  response["s_sets"] = static_cast<int64_t>(answer->s_sets);
-  response["t_sets"] = static_cast<int64_t>(answer->t_sets);
-  response["num_pairs"] = static_cast<int64_t>(answer->num_pairs);
-  response["cross_product"] = answer->cross_product;
-  response["truncated"] = answer->truncated;
-  response["digest"] = answer->digest;
   response["window_units"] = static_cast<int64_t>(query.window_units);
   response["unit"] = static_cast<int64_t>(info.unit_watermark);
   JsonValue::Object window;
@@ -1055,7 +1138,6 @@ JsonValue::Object QueryService::ExecuteStream(const JsonValue& request,
   window["eps"] = info.eps;
   window["exact"] = info.exact;
   response["window"] = std::move(window);
-  response["rows"] = RowsJson(*answer);
   return response;
 }
 
@@ -1222,7 +1304,7 @@ JsonValue::Object QueryService::StatsJson() {
     row["last_tilt_unit"] = summary.watermark.last_tilt_unit;
     row["eps"] = summary.eps;
     row["ttw"] = summary.ttw;
-    streams.push_back(std::move(row));
+    streams.emplace_back(std::move(row));
   }
 
   JsonValue::Object stats;

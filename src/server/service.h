@@ -205,12 +205,22 @@ class QueryService {
 
 // Renders a finished result into the cacheable answer: protocol rows
 // "s_items;t_items;s_support;t_support" (row-major, capped at
-// `max_rows`), the pre-cap pair count, and the FNV-1a digest
-// (obs/digest.h) cache hits return byte-for-byte. Each side set is
-// formatted at most once, and only if it appears in an emitted row.
+// `max_rows`) encoded once as a JSON array, the pre-cap pair count, and
+// the FNV-1a digest (obs/digest.h) cache hits return byte-for-byte.
+// Each side set is formatted at most once, and only if it appears in
+// an emitted row.
 std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
                                            uint64_t max_rows,
                                            const std::string& canonical);
+
+// The digest RenderAnswer computes for the same arguments, from
+// per-side ranks of the sets' item text: no row string is built or
+// sorted.
+uint64_t AnswerDigest(const CfqResult& result, uint64_t max_rows);
+
+// The answer's part of a `query` response: status, counts, digest, and
+// the pre-encoded rows spliced in without a per-row copy.
+JsonValue::Object AnswerResponse(const CachedAnswer& answer);
 
 }  // namespace cfq::server
 

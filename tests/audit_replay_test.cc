@@ -298,6 +298,44 @@ TEST(ServiceAuditTest, CapturesServedQueriesWithDigests) {
   EXPECT_EQ(metrics.counter("server.audit.appended"), 3u);
 }
 
+TEST(ServiceAuditTest, RecordsTheRowCountServed) {
+  const std::string dir = TempDir("service-rows");
+  ServiceOptions options;
+  options.audit_log_dir = dir;
+  obs::MetricsRegistry metrics;
+  QueryService service(options, &metrics);
+  ASSERT_EQ(service.Handle(GenRequest("d")).GetString("status", ""), "OK");
+  // The rows a client decodes from the response, whatever their
+  // in-process representation.
+  const auto decoded_rows = [](const JsonValue& response) -> uint64_t {
+    auto parsed = JsonValue::Parse(response.Write());
+    EXPECT_TRUE(parsed.ok());
+    const JsonValue* rows = parsed.ok() ? parsed->Find("rows") : nullptr;
+    return rows != nullptr && rows->is_array() ? rows->as_array().size() : 0;
+  };
+  const JsonValue cold = service.Handle(QueryRequest("d", kQuery));
+  ASSERT_EQ(cold.GetString("status", ""), "OK");
+  const uint64_t all_rows = decoded_rows(cold);
+  ASSERT_GT(all_rows, 3u);
+  JsonValue::Object capped = QueryRequest("d", kQuery).as_object();
+  capped["max_rows"] = int64_t{3};
+  const JsonValue three = service.Handle(capped);
+  ASSERT_EQ(decoded_rows(three), 3u);
+  const JsonValue hit = service.Handle(QueryRequest("d", kQuery));
+  ASSERT_TRUE(hit.GetBool("cached", false));
+  ASSERT_EQ(service.Handle(QueryRequest("d", "freq(S &")).GetString("status", ""),
+            "PARSE_ERROR");
+  service.BeginDrain();
+
+  auto records = ReadAuditLog(dir, nullptr);
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), 4u);
+  EXPECT_EQ((*records)[0].rows, all_rows);
+  EXPECT_EQ((*records)[1].rows, 3u);
+  EXPECT_EQ((*records)[2].rows, all_rows);
+  EXPECT_EQ((*records)[3].rows, 0u);
+}
+
 TEST(ServiceAuditTest, NoAuditDirMeansNoLog) {
   obs::MetricsRegistry metrics;
   QueryService service(ServiceOptions{}, &metrics);

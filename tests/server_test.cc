@@ -12,9 +12,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,6 +69,46 @@ std::vector<std::string> PerPairRows(const CfqResult& result,
   return rows;
 }
 
+// The rows of a cached answer, decoded from its pre-encoded JSON.
+std::vector<std::string> DecodedRows(const CachedAnswer& answer) {
+  std::vector<std::string> rows;
+  auto parsed = JsonValue::Parse(*answer.rows_json);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (!parsed.ok() || !parsed->is_array()) return rows;
+  for (const JsonValue& row : parsed->as_array()) {
+    EXPECT_TRUE(row.is_string());
+    if (row.is_string()) rows.push_back(row.as_string());
+  }
+  return rows;
+}
+
+// Renders `result` at every cap around the edges and checks the rows
+// against the per-pair rendering and the digest against the reference
+// that sorts the row strings.
+void ExpectRenderMatchesPerPair(CfqResult result) {
+  for (bool cross : {false, true}) {
+    result.cross_product = cross;
+    const uint64_t total =
+        cross ? result.s_sets.size() * result.t_sets.size()
+              : result.pairs.size();
+    for (uint64_t max_rows : {uint64_t{0}, uint64_t{1}, uint64_t{7},
+                              total - 1, total, total + 5}) {
+      const std::vector<std::string> want = PerPairRows(result, max_rows);
+      auto answer = RenderAnswer(result, max_rows, "q");
+      EXPECT_EQ(DecodedRows(*answer), want)
+          << "cross " << cross << " max_rows " << max_rows;
+      EXPECT_EQ(answer->num_rows, want.size());
+      EXPECT_EQ(answer->digest, obs::RowsDigestHex(want))
+          << "cross " << cross << " max_rows " << max_rows;
+      EXPECT_EQ(obs::DigestHex(AnswerDigest(result, max_rows)),
+                answer->digest);
+      EXPECT_EQ(answer->num_pairs, total);
+      EXPECT_EQ(answer->truncated, want.size() < total);
+      EXPECT_EQ(answer->canonical_query, "q");
+    }
+  }
+}
+
 TEST(RenderAnswerTest, RowsAndDigestMatchPerPairRendering) {
   std::mt19937 rng(5);
   CfqResult result;
@@ -84,24 +126,41 @@ TEST(RenderAnswerTest, RowsAndDigestMatchPerPairRendering) {
       if (rng() % 2 == 0) result.pairs.emplace_back(i, j);
     }
   }
-  for (bool cross : {false, true}) {
-    result.cross_product = cross;
-    const uint64_t total =
-        cross ? result.s_sets.size() * result.t_sets.size()
-              : result.pairs.size();
-    for (uint64_t max_rows : {uint64_t{0}, uint64_t{1}, uint64_t{7},
-                              total - 1, total, total + 5}) {
-      const std::vector<std::string> want = PerPairRows(result, max_rows);
-      auto answer = RenderAnswer(result, max_rows, "q");
-      const std::vector<std::string_view> views = answer->rows();
-      EXPECT_EQ(std::vector<std::string>(views.begin(), views.end()), want)
-          << "cross " << cross << " max_rows " << max_rows;
-      EXPECT_EQ(answer->digest, obs::RowsDigestHex(want));
-      EXPECT_EQ(answer->num_pairs, total);
-      EXPECT_EQ(answer->truncated, want.size() < total);
-      EXPECT_EQ(answer->canonical_query, "q");
+  ExpectRenderMatchesPerPair(std::move(result));
+}
+
+// Distinct itemsets over 1-3 digit ids that prefix one another ("1",
+// "1 2", "10", "1 20", "100" ...), in random order, so byte order,
+// item order and set index order all disagree.
+std::vector<FrequentSet> PrefixHeavySets(size_t count, std::mt19937* rng) {
+  static const ItemId kIds[] = {1,  2,  3,  10,  12,  13,  20,  21,  100,
+                                101, 102, 110, 120, 121, 200, 201, 210, 999};
+  std::set<Itemset> seen;
+  std::vector<FrequentSet> sets;
+  while (sets.size() < count) {
+    std::vector<ItemId> raw(1 + (*rng)() % 3);
+    for (ItemId& x : raw) x = kIds[(*rng)() % std::size(kIds)];
+    Itemset items = MakeItemset(std::move(raw));
+    if (!seen.insert(items).second) continue;
+    // Supports of 1-4 digits, so the support fields prefix one another
+    // as well.
+    const uint64_t support = 1 + (*rng)() % (uint64_t{10} << ((*rng)() % 10));
+    sets.push_back(FrequentSet{std::move(items), support});
+  }
+  return sets;
+}
+
+TEST(RenderAnswerTest, RankedDigestMatchesSortedRowsOnPrefixHeavyItems) {
+  std::mt19937 rng(11);
+  CfqResult result;
+  result.s_sets = PrefixHeavySets(310, &rng);
+  result.t_sets = PrefixHeavySets(300, &rng);
+  for (uint32_t i = 0; i < result.s_sets.size(); ++i) {
+    for (uint32_t j = 0; j < result.t_sets.size(); ++j) {
+      if (rng() % 5 == 0) result.pairs.emplace_back(i, j);
     }
   }
+  ExpectRenderMatchesPerPair(std::move(result));
 }
 
 // --- JSON codec ------------------------------------------------------
@@ -135,6 +194,70 @@ TEST(JsonTest, TypedAccessorsFallBack) {
   EXPECT_EQ(value->GetInt("missing", -1), -1);
   EXPECT_EQ(value->GetString("n", "fallback"), "fallback");  // Wrong type.
   EXPECT_TRUE(value->GetBool("b", false));
+}
+
+// The escaper the appending JsonEscape replaced: one output string per
+// value, built a character at a time.
+std::string PerCharJsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonTest, AppendingEscapeMatchesPerCharEscape) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(JsonEscape(one), PerCharJsonEscape(one)) << "byte " << b;
+    const std::string mixed = "ab" + one + "cd" + one + one + "\"e\\";
+    std::string appended = "prefix";
+    JsonEscape(mixed, &appended);
+    EXPECT_EQ(appended, "prefix" + PerCharJsonEscape(mixed)) << "byte " << b;
+  }
+  std::mt19937 rng(9);
+  for (int k = 0; k < 200; ++k) {
+    std::string text(rng() % 40, '\0');
+    for (char& c : text) c = static_cast<char>(rng() % 256);
+    EXPECT_EQ(JsonEscape(text), PerCharJsonEscape(text));
+  }
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
+TEST(JsonTest, PreEncodedTextIsSplicedVerbatim) {
+  const auto text = std::make_shared<const std::string>(R"(["a;b",[1,2]])");
+  const JsonValue encoded = JsonValue::PreEncoded(text);
+  EXPECT_TRUE(encoded.is_pre_encoded());
+  EXPECT_FALSE(encoded.is_array());
+  EXPECT_EQ(encoded.Write(), *text);
+
+  JsonValue::Object object;
+  object["b"] = encoded;
+  object["a"] = int64_t{1};
+  object["c"] = JsonValue::Array{encoded, "x"};
+  EXPECT_EQ(JsonValue(object).Write(),
+            R"({"a":1,"b":["a;b",[1,2]],"c":[["a;b",[1,2]],"x"]})");
+  // Parsing the written text gives plain values, never pre-encoded ones.
+  auto parsed = JsonValue::Parse(JsonValue(object).Write());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(parsed->Find("b")->is_array());
+  EXPECT_EQ(parsed->Write(), JsonValue(object).Write());
 }
 
 // --- ResultCache -----------------------------------------------------
@@ -777,6 +900,23 @@ TEST_F(TcpTest, PingAndQueryOverTheWire) {
   EXPECT_EQ(hit->Find("rows")->Write(), cold->Find("rows")->Write());
 }
 
+TEST_F(TcpTest, QueryLineIsTheArrayEncodingOfItsRows) {
+  Client client = MustConnect();
+  ASSERT_TRUE(client.Call(GenRequest("d")).ok());
+  for (int round = 0; round < 2; ++round) {  // Cold, then a cache hit.
+    auto line = client.CallRaw(QueryRequest("d", kQuery).Write());
+    ASSERT_TRUE(line.ok()) << line.status();
+    // Parsing yields plain arrays and strings; writing them again is
+    // the per-row encoding the pre-encoded rows replaced.
+    auto parsed = JsonValue::Parse(line.value());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ASSERT_TRUE(parsed->Find("rows")->is_array());
+    EXPECT_FALSE(parsed->Find("rows")->as_array().empty());
+    EXPECT_EQ(parsed->GetBool("cached", !round), round == 1);
+    EXPECT_EQ(parsed->Write(), line.value());
+  }
+}
+
 TEST_F(TcpTest, MalformedLineGetsBadRequestAndConnectionSurvives) {
   Client client = MustConnect();
   auto garbage = client.CallRaw("this is not json");
@@ -838,6 +978,61 @@ TEST_F(TcpTest, RequestShutdownFinishesInFlightQueries) {
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->GetString("status", ""), "OK");
   server_->Wait();
+}
+
+// A peer that answers with pre-scripted bytes: Client must return one
+// line per call however the bytes are split across recv()s, including
+// responses that arrive before their request was sent (pipelined).
+TEST(ClientTest, PipelinedResponsesSplitAcrossRecvsComeBackLineByLine) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  const std::string big(300 * 1024, 'x');  // Spans several 64 KB recv()s.
+  std::thread peer([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const auto send_now = [fd](const std::string& bytes) {
+      size_t sent = 0;
+      while (sent < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) return;
+        sent += static_cast<size_t>(n);
+      }
+    };
+    send_now("one\ntw");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    send_now("o\n");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    send_now(big.substr(0, 1000));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    send_now(big.substr(1000) + "\nthree\nfour\n");
+    char sink[256];  // Drain the requests until the client closes.
+    while (::recv(fd, sink, sizeof(sink), 0) > 0) {
+    }
+    ::close(fd);
+  });
+
+  auto client = Client::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status();
+  const std::vector<std::string> want = {"one", "two", big, "three", "four"};
+  for (const std::string& expected : want) {
+    auto line = client->CallRaw("{}");
+    ASSERT_TRUE(line.ok()) << line.status();
+    EXPECT_EQ(line.value(), expected);
+  }
+  client->Close();
+  peer.join();
+  ::close(listener);
 }
 
 }  // namespace

@@ -331,8 +331,8 @@ JsonValue IngestRequest(const std::string& stream, const Batch& batch,
   JsonValue::Array transactions;
   for (const auto& txn : batch) {
     JsonValue::Array row;
-    for (ItemId item : txn) row.push_back(static_cast<int64_t>(item));
-    transactions.push_back(std::move(row));
+    for (ItemId item : txn) row.emplace_back(static_cast<int64_t>(item));
+    transactions.emplace_back(std::move(row));
   }
   request["transactions"] = std::move(transactions);
   request["ttw"] = ttw;
