@@ -8,8 +8,8 @@
 // On that answer capped at 100k rows, as the daemon serves it:
 // BM_AnswerDigest/rows is the reference digest that sorts the row
 // strings (obs::DigestRowViews), BM_AnswerDigest/ranked the per-side
-// rank digest RenderAnswer computes (server::AnswerDigest), and
-// BM_RespondLine writes one cached answer's response line.
+// rank digest RenderAnswer computes (AnswerDigest, core/answer_rows.h),
+// and BM_RespondLine writes one cached answer's response line.
 //
 // --bench_json=FILE and --quick as in micro_counting (bench/gbench_main.h).
 
@@ -18,6 +18,7 @@
 #include "bench/gbench_main.h"
 #include "common/rng.h"
 #include "constraints/eval.h"
+#include "core/answer_rows.h"
 #include "core/jmax.h"
 #include "core/pair_join.h"
 #include "core/reduction.h"
@@ -199,7 +200,7 @@ void BM_AnswerDigest(benchmark::State& state, bool ranked) {
   }
   const std::vector<std::string_view> views(rows.begin(), rows.end());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ranked ? server::AnswerDigest(answer, kServedRows)
+    benchmark::DoNotOptimize(ranked ? AnswerDigest(answer, kServedRows)
                                     : obs::DigestRowViews(views));
   }
 }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
             << config.num_items << " items. 'help' for syntax.\n";
 
   // Execution strategy for subsequent queries; `strategy <name>` swaps it.
-  std::string strategy = "optimized";
+  Strategy strategy = Strategy::kOptimized;
 
   std::string line;
   while (std::cout << "cfq> " << std::flush, std::getline(std::cin, line)) {
@@ -117,19 +118,18 @@ int main(int argc, char** argv) {
       std::istringstream fields(line.substr(8));
       std::string name, extra;
       if (!(fields >> name)) {
-        std::cout << "strategy: " << strategy
-                  << " (want optimized|cap|apriori|fpgrowth)\n";
+        std::cout << "strategy: " << StrategyName(strategy) << " (want "
+                  << StrategyNameList() << ")\n";
         continue;
       }
-      if ((fields >> extra) ||
-          (name != "optimized" && name != "cap" && name != "apriori" &&
-           name != "fpgrowth")) {
-        std::cout << "unknown strategy '" << name
-                  << "' (want optimized|cap|apriori|fpgrowth)\n";
+      const std::optional<Strategy> parsed = ParseStrategy(name);
+      if ((fields >> extra) || !parsed.has_value()) {
+        std::cout << "unknown strategy '" << name << "' (want "
+                  << StrategyNameList() << ")\n";
         continue;
       }
-      strategy = name;
-      std::cout << "strategy: " << strategy << "\n";
+      strategy = *parsed;
+      std::cout << "strategy: " << StrategyName(strategy) << "\n";
       continue;
     }
     if (line.rfind("load ", 0) == 0) {
@@ -210,16 +210,7 @@ int main(int argc, char** argv) {
     std::cout << ExplainPlan(plan.value());
     if (explain_only) continue;
 
-    Result<CfqResult> result = Status::Internal("unreachable");
-    if (strategy == "cap") {
-      result = ExecuteCapOneVar(&db, catalog, query, plan_options);
-    } else if (strategy == "apriori") {
-      result = ExecuteAprioriPlus(&db, catalog, query, plan_options);
-    } else if (strategy == "fpgrowth") {
-      result = ExecuteFpGrowth(&db, catalog, query, plan_options);
-    } else {
-      result = ExecutePlan(&db, catalog, plan.value());
-    }
+    auto result = ExecuteStrategy(strategy, &db, catalog, plan.value());
     if (!result.ok()) {
       std::cout << "execution error: " << result.status().message() << "\n";
       continue;

@@ -26,9 +26,12 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  // Normal with the given mean and standard deviation.
+  // Normal with the given mean and standard deviation (>= 0): a standard
+  // normal draw scaled by hand, which is the distribution's own
+  // arithmetic, so stddev 0 returns `mean` rather than building a
+  // distribution whose stddev must be positive.
   double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   // Poisson with the given mean (> 0).

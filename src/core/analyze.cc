@@ -1,10 +1,12 @@
 #include "core/analyze.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
 
 #include "common/table_printer.h"
+#include "core/answer_rows.h"
 #include "obs/digest.h"
 #include "obs/export.h"
 #include "obs/resource.h"
@@ -151,36 +153,7 @@ std::string RenderExplainAnalyze(const StrategyStats& stats,
 }
 
 std::string DigestCfqResult(const CfqResult& result) {
-  std::vector<std::string> rows;
-  const auto row = [](const FrequentSet& s, const FrequentSet& t) {
-    std::string out;
-    for (size_t i = 0; i < s.items.size(); ++i) {
-      if (i > 0) out += ' ';
-      out += std::to_string(s.items[i]);
-    }
-    out += ';';
-    for (size_t i = 0; i < t.items.size(); ++i) {
-      if (i > 0) out += ' ';
-      out += std::to_string(t.items[i]);
-    }
-    out += ';';
-    out += std::to_string(s.support);
-    out += ';';
-    out += std::to_string(t.support);
-    return out;
-  };
-  if (result.cross_product) {
-    rows.reserve(result.s_sets.size() * result.t_sets.size());
-    for (const FrequentSet& s : result.s_sets) {
-      for (const FrequentSet& t : result.t_sets) rows.push_back(row(s, t));
-    }
-  } else {
-    rows.reserve(result.pairs.size());
-    for (const auto& [i, j] : result.pairs) {
-      rows.push_back(row(result.s_sets[i], result.t_sets[j]));
-    }
-  }
-  return obs::RowsDigestHex(rows);
+  return obs::DigestHex(AnswerDigest(result, UINT64_MAX));
 }
 
 void ExportMetrics(const StrategyStats& stats, obs::MetricsRegistry* registry) {

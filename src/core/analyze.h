@@ -33,12 +33,11 @@ std::string RenderExplainAnalyze(const StrategyStats& stats,
                                  const std::vector<obs::TraceEvent>& events,
                                  const obs::MetricsRegistry* metrics = nullptr);
 
-// The canonical result digest of a CfqResult: every answer pair is
-// rendered as the protocol row "s_items;t_items;s_support;t_support"
-// (cross products expanded), the rows are sorted, and the FNV-1a
-// digest (obs/digest.h) is returned as 16 hex digits. The same value,
-// by construction, as digesting the rows of a served response with no
-// row cap — the identity replayed workloads verify against.
+// The canonical result digest of a CfqResult as 16 hex digits:
+// AnswerDigest (core/answer_rows.h) over every row, cross products
+// expanded. The same value, by construction, as digesting the rows of
+// a served response with no row cap: the identity replayed workloads
+// verify against.
 std::string DigestCfqResult(const CfqResult& result);
 
 // Flattens StrategyStats into `registry` under dotted names:

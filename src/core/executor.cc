@@ -6,7 +6,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <unordered_set>
 
 #include "common/simd.h"
 #include "common/stopwatch.h"
@@ -18,8 +20,6 @@
 #include "mining/apriori_plus.h"
 #include "mining/cap.h"
 #include "mining/hash_counter.h"
-#include <unordered_set>
-
 #include "mining/lattice.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -194,15 +194,65 @@ PairJoinOptions ToJoinOptions(const PlanOptions& options, ThreadPool* pool) {
   return join;
 }
 
+// The frame of every strategy's two steps (Section 6.2): constructed
+// before mining, it times the run, tracks its resources and owns the
+// counting pool; once the strategy has mined `result`'s side sets and
+// per-side stats, Finish joins them into answer pairs and fills the
+// shared stats. A null `options` runs without a pool and joins serially.
+class StrategyRun {
+ public:
+  explicit StrategyRun(const PlanOptions* options) : options_(options) {
+    // 0 threads resolves to hardware concurrency.
+    if (options != nullptr) pool_.emplace(options->threads);
+  }
+
+  ThreadPool* pool() { return pool_.has_value() ? &*pool_ : nullptr; }
+
+  // Moves two mined sides (each with `valid_frequent` and `stats`) into
+  // `result`.
+  template <typename Side>
+  void TakeSides(Side s, Side t) {
+    result.s_sets = std::move(s.valid_frequent);
+    result.t_sets = std::move(t.valid_frequent);
+    result.stats.s = std::move(s.stats);
+    result.stats.t = std::move(t.stats);
+  }
+
+  Result<CfqResult> Finish(const char* miner, const CfqQuery& query,
+                           const ItemCatalog& catalog) {
+    result.stats.mining_seconds = timer_.ElapsedSeconds();
+    CFQ_RETURN_IF_ERROR(FormPairs(
+        query.two_var, catalog,
+        options_ != nullptr ? ToJoinOptions(*options_, pool())
+                            : PairJoinOptions{},
+        &result));
+    result.stats.elapsed_seconds = timer_.ElapsedSeconds();
+    result.stats.pair_seconds =
+        result.stats.elapsed_seconds - result.stats.mining_seconds;
+    if (pool_.has_value()) result.stats.pool = pool_->stats();
+    result.stats.resources = resource_tracker_.Finish();
+    result.stats.simd_kernel = simd::KernelName(simd::ActiveKernel());
+    result.stats.miner = miner;
+    return std::move(result);
+  }
+
+  CfqResult result;
+
+ private:
+  Stopwatch timer_;
+  obs::ResourceTracker resource_tracker_;
+  const PlanOptions* const options_;
+  std::optional<ThreadPool> pool_;
+};
+
 }  // namespace
 
 Result<CfqResult> ExecutePlan(TransactionDb* db, const ItemCatalog& catalog,
                               const CfqPlan& plan) {
-  Stopwatch timer;
-  obs::ResourceTracker resource_tracker;
   const CfqQuery& query = plan.query;
   const PlanOptions& options = plan.options;
-  ThreadPool pool(options.threads);  // 0 resolves to hardware concurrency.
+  StrategyRun run(&options);
+  ThreadPool& pool = *run.pool();
 
   // Each side records into its own registry (the concurrent dovetail
   // mines the lattices on separate threads); merging S then T below
@@ -455,25 +505,14 @@ Result<CfqResult> ExecutePlan(TransactionDb* db, const ItemCatalog& catalog,
     options.metrics->MergeFrom(t_metrics);
   }
 
-  CfqResult result;
-  result.s_sets = s.valid_frequent();
-  result.t_sets = t.valid_frequent();
-  result.stats.s = s.stats();
-  result.stats.t = t.stats();
+  run.result.s_sets = s.valid_frequent();
+  run.result.t_sets = t.valid_frequent();
+  run.result.stats.s = s.stats();
+  run.result.stats.t = t.stats();
   // The per-side registries are locals; don't let their pointers escape.
-  result.stats.s.metrics = nullptr;
-  result.stats.t.metrics = nullptr;
-  result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
-                                ToJoinOptions(options, &pool), &result));
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  result.stats.pair_seconds =
-      result.stats.elapsed_seconds - result.stats.mining_seconds;
-  result.stats.pool = pool.stats();
-  result.stats.resources = resource_tracker.Finish();
-  result.stats.simd_kernel = simd::KernelName(simd::ActiveKernel());
-  result.stats.miner = "optimized";
-  return result;
+  run.result.stats.s.metrics = nullptr;
+  run.result.stats.t.metrics = nullptr;
+  return run.Finish("optimized", query, catalog);
 }
 
 Result<CfqResult> ExecuteOptimized(TransactionDb* db,
@@ -489,18 +528,15 @@ Result<CfqResult> ExecuteAprioriPlus(TransactionDb* db,
                                      const ItemCatalog& catalog,
                                      const CfqQuery& query,
                                      const PlanOptions& options) {
-  Stopwatch timer;
-  obs::ResourceTracker resource_tracker;
-  ThreadPool pool(options.threads);
+  StrategyRun run(&options);
   AprioriOptions apriori_options;
   apriori_options.counter = options.counter;
   apriori_options.max_level = options.max_level;
   apriori_options.tracer = options.tracer;
   apriori_options.metrics = options.metrics;
-  apriori_options.pool = &pool;
+  apriori_options.pool = run.pool();
   apriori_options.cancel = options.cancel;
 
-  CfqResult result;
   apriori_options.var_label = 'S';
   auto s = RunAprioriPlus(db, catalog, query.s_domain, Var::kS, query.one_var,
                           query.min_support_s, apriori_options);
@@ -509,61 +545,30 @@ Result<CfqResult> ExecuteAprioriPlus(TransactionDb* db,
   auto t = RunAprioriPlus(db, catalog, query.t_domain, Var::kT, query.one_var,
                           query.min_support_t, apriori_options);
   if (!t.ok()) return t.status();
-  result.s_sets = std::move(s.value().valid_frequent);
-  result.t_sets = std::move(t.value().valid_frequent);
-  result.stats.s = std::move(s.value().stats);
-  result.stats.t = std::move(t.value().stats);
-  result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
-                                ToJoinOptions(options, &pool), &result));
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  result.stats.pair_seconds =
-      result.stats.elapsed_seconds - result.stats.mining_seconds;
-  result.stats.pool = pool.stats();
-  result.stats.resources = resource_tracker.Finish();
-  result.stats.simd_kernel = simd::KernelName(simd::ActiveKernel());
-  result.stats.miner = "apriori+";
-  return result;
+  run.TakeSides(std::move(s).value(), std::move(t).value());
+  return run.Finish("apriori+", query, catalog);
 }
 
 Result<CfqResult> ExecuteCapOneVar(TransactionDb* db,
                                    const ItemCatalog& catalog,
                                    const CfqQuery& query,
                                    const PlanOptions& options) {
-  Stopwatch timer;
-  obs::ResourceTracker resource_tracker;
-  ThreadPool pool(options.threads);
-  CfqResult result;
+  StrategyRun run(&options);
   auto s = RunCap(db, catalog, query.s_domain, Var::kS, query.one_var,
-                  query.min_support_s, ToCapOptions(options, &pool));
+                  query.min_support_s, ToCapOptions(options, run.pool()));
   if (!s.ok()) return s.status();
   auto t = RunCap(db, catalog, query.t_domain, Var::kT, query.one_var,
-                  query.min_support_t, ToCapOptions(options, &pool));
+                  query.min_support_t, ToCapOptions(options, run.pool()));
   if (!t.ok()) return t.status();
-  result.s_sets = std::move(s.value().valid_frequent);
-  result.t_sets = std::move(t.value().valid_frequent);
-  result.stats.s = std::move(s.value().stats);
-  result.stats.t = std::move(t.value().stats);
-  result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
-                                ToJoinOptions(options, &pool), &result));
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  result.stats.pair_seconds =
-      result.stats.elapsed_seconds - result.stats.mining_seconds;
-  result.stats.pool = pool.stats();
-  result.stats.resources = resource_tracker.Finish();
-  result.stats.simd_kernel = simd::KernelName(simd::ActiveKernel());
-  result.stats.miner = "cap";
-  return result;
+  run.TakeSides(std::move(s).value(), std::move(t).value());
+  return run.Finish("cap", query, catalog);
 }
 
 Result<CfqResult> ExecuteFpGrowth(TransactionDb* db,
                                   const ItemCatalog& catalog,
                                   const CfqQuery& query,
                                   const PlanOptions& options) {
-  Stopwatch timer;
-  obs::ResourceTracker resource_tracker;
-  ThreadPool pool(options.threads);
+  StrategyRun run(&options);
   auto plan = BuildPlan(query, options);
   if (!plan.ok()) return plan.status();
   const std::vector<TwoVarRoute>& routes = plan.value().routes;
@@ -610,7 +615,7 @@ Result<CfqResult> ExecuteFpGrowth(TransactionDb* db,
   FpGrowthOptions base;
   base.max_level = options.max_level;
   base.nonnegative = options.nonnegative;
-  base.pool = &pool;
+  base.pool = run.pool();
   base.tracer = options.tracer;
   base.metrics = options.metrics;
   base.cancel = options.cancel;
@@ -621,7 +626,6 @@ Result<CfqResult> ExecuteFpGrowth(TransactionDb* db,
   t_opts.var_label = 'T';
   t_opts.counted_log = options.counted_log_t;
 
-  CfqResult result;
   auto mine = [&](Var var, const FpGrowthOptions& side_opts)
       -> Result<FpGrowthResult> {
     const bool is_s = var == Var::kS;
@@ -639,10 +643,7 @@ Result<CfqResult> ExecuteFpGrowth(TransactionDb* db,
     t_opts.bounds = std::move(bounds.value());
     auto t = mine(Var::kT, t_opts);
     if (!t.ok()) return t.status();
-    result.s_sets = std::move(s.value().valid_frequent);
-    result.t_sets = std::move(t.value().valid_frequent);
-    result.stats.s = std::move(s.value().stats);
-    result.stats.t = std::move(t.value().stats);
+    run.TakeSides(std::move(s).value(), std::move(t).value());
   } else {
     auto t = mine(Var::kT, t_opts);
     if (!t.ok()) return t.status();
@@ -653,22 +654,9 @@ Result<CfqResult> ExecuteFpGrowth(TransactionDb* db,
     }
     auto s = mine(Var::kS, s_opts);
     if (!s.ok()) return s.status();
-    result.s_sets = std::move(s.value().valid_frequent);
-    result.t_sets = std::move(t.value().valid_frequent);
-    result.stats.s = std::move(s.value().stats);
-    result.stats.t = std::move(t.value().stats);
+    run.TakeSides(std::move(s).value(), std::move(t).value());
   }
-  result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog,
-                                ToJoinOptions(options, &pool), &result));
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  result.stats.pair_seconds =
-      result.stats.elapsed_seconds - result.stats.mining_seconds;
-  result.stats.pool = pool.stats();
-  result.stats.resources = resource_tracker.Finish();
-  result.stats.simd_kernel = simd::KernelName(simd::ActiveKernel());
-  result.stats.miner = "fpgrowth";
-  return result;
+  return run.Finish("fpgrowth", query, catalog);
 }
 
 namespace {
@@ -748,26 +736,16 @@ Result<CfqResult> ExecuteFullMaterialization(TransactionDb* db,
         "full materialization is exponential; domains are capped at " +
         std::to_string(kFmMaxDomain) + " items");
   }
-  Stopwatch timer;
-  obs::ResourceTracker resource_tracker;
-  CfqResult result;
+  StrategyRun run(/*options=*/nullptr);
   auto s = FmSide(db, catalog, query, Var::kS, query.min_support_s,
-                  &result.stats.s);
+                  &run.result.stats.s);
   if (!s.ok()) return s.status();
-  result.s_sets = std::move(s).value();
+  run.result.s_sets = std::move(s).value();
   auto t = FmSide(db, catalog, query, Var::kT, query.min_support_t,
-                  &result.stats.t);
+                  &run.result.stats.t);
   if (!t.ok()) return t.status();
-  result.t_sets = std::move(t).value();
-  result.stats.mining_seconds = timer.ElapsedSeconds();
-  CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog, {}, &result));
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  result.stats.pair_seconds =
-      result.stats.elapsed_seconds - result.stats.mining_seconds;
-  result.stats.resources = resource_tracker.Finish();
-  result.stats.simd_kernel = simd::KernelName(simd::ActiveKernel());
-  result.stats.miner = "full-materialization";
-  return result;
+  run.result.t_sets = std::move(t).value();
+  return run.Finish("full-materialization", query, catalog);
 }
 
 Result<CfqResult> ExecuteBruteForce(const TransactionDb& db,
@@ -788,6 +766,38 @@ Result<CfqResult> ExecuteBruteForce(const TransactionDb& db,
   }
   CFQ_RETURN_IF_ERROR(FormPairs(query.two_var, catalog, {}, &result));
   return result;
+}
+
+std::optional<Strategy> ParseStrategy(std::string_view name) {
+  for (size_t i = 0; i < kStrategyNames.size(); ++i) {
+    if (kStrategyNames[i] == name) return static_cast<Strategy>(i);
+  }
+  return std::nullopt;
+}
+
+std::string StrategyNameList() {
+  std::string out;
+  for (std::string_view name : kStrategyNames) {
+    if (!out.empty()) out += '|';
+    out += name;
+  }
+  return out;
+}
+
+Result<CfqResult> ExecuteStrategy(Strategy strategy, TransactionDb* db,
+                                  const ItemCatalog& catalog,
+                                  const CfqPlan& plan) {
+  switch (strategy) {
+    case Strategy::kOptimized:
+      return ExecutePlan(db, catalog, plan);
+    case Strategy::kCap:
+      return ExecuteCapOneVar(db, catalog, plan.query, plan.options);
+    case Strategy::kApriori:
+      return ExecuteAprioriPlus(db, catalog, plan.query, plan.options);
+    case Strategy::kFpGrowth:
+      return ExecuteFpGrowth(db, catalog, plan.query, plan.options);
+  }
+  return Status::InvalidArgument("unknown strategy");
 }
 
 std::vector<std::pair<Itemset, Itemset>> AnswerPairs(const CfqResult& result) {

@@ -15,8 +15,11 @@
 #ifndef CFQ_CORE_EXECUTOR_H_
 #define CFQ_CORE_EXECUTOR_H_
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -139,6 +142,30 @@ inline constexpr size_t kFmMaxDomain = 20;
 Result<CfqResult> ExecuteFullMaterialization(TransactionDb* db,
                                              const ItemCatalog& catalog,
                                              const CfqQuery& query);
+
+// The strategies a caller picks by name (cfq_mine --strategy, the
+// shell's `strategy`, the daemon's "strategy" field).
+enum class Strategy { kOptimized, kCap, kApriori, kFpGrowth };
+
+// Each strategy's name, indexed by the enum.
+inline constexpr std::array<std::string_view, 4> kStrategyNames = {
+    "optimized", "cap", "apriori", "fpgrowth"};
+
+inline std::string_view StrategyName(Strategy strategy) {
+  return kStrategyNames[static_cast<size_t>(strategy)];
+}
+
+// The strategy spelled `name`, or nullopt.
+std::optional<Strategy> ParseStrategy(std::string_view name);
+
+// "optimized|cap|apriori|fpgrowth", for usage and error text.
+std::string StrategyNameList();
+
+// Runs `strategy` on the query and options `plan` was built from:
+// ExecutePlan for kOptimized, else the strategy's Execute* function.
+Result<CfqResult> ExecuteStrategy(Strategy strategy, TransactionDb* db,
+                                  const ItemCatalog& catalog,
+                                  const CfqPlan& plan);
 
 // Canonicalized answer pairs for cross-strategy comparison in tests.
 std::vector<std::pair<Itemset, Itemset>> AnswerPairs(const CfqResult& result);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -160,6 +161,69 @@ std::vector<uint32_t> Participants(size_t n, const std::vector<char>* mask) {
   return out;
 }
 
+// S-rows per pass of JoinRows: their match bitmaps stay within 4 MB.
+constexpr size_t kBlockBitmapWords = size_t{1} << 19;
+
+// Joins every S-row against `cols` into `pairs`, row-major, in blocks of
+// rows sharded over `pool`: one pass narrows each row and records its
+// matches as a bitmap over T-set indices, the next expands each bitmap
+// at its row's offset into `pairs`, grown once per block. Every buffer
+// is allocated on the calling thread, so the join's heap use does not
+// depend on which thread runs which shard. False once `cancel` expired
+// (polled once per row).
+bool JoinRows(const std::vector<ConjunctColumns>& columns,
+              const std::vector<uint32_t>& rows,
+              const std::vector<uint32_t>& cols, size_t num_t,
+              const CancelToken* cancel, ThreadPool* pool, PairList* pairs) {
+  const size_t words = (num_t + 63) / 64;
+  const size_t block =
+      std::min(rows.size(), std::max<size_t>(1, kBlockBitmapWords / words));
+  const size_t shards = std::min(pool->num_threads() * 4, block);
+  std::vector<uint64_t> bits(block * words);
+  std::vector<size_t> offset(block + 1);
+  std::vector<std::vector<uint32_t>> cands(shards);
+  for (std::vector<uint32_t>& cand : cands) cand.reserve(cols.size());
+  for (size_t first = 0; first < rows.size(); first += block) {
+    const size_t n = std::min(block, rows.size() - first);
+    std::fill_n(bits.begin(), n * words, 0);
+    std::atomic<bool> expired{false};
+    pool->ParallelChunks(n, shards, [&](size_t shard, size_t begin,
+                                        size_t end) {
+      std::vector<uint32_t>& cand = cands[shard];
+      for (size_t b = begin; b < end; ++b) {
+        if (cancel != nullptr && cancel->Expired()) {
+          expired.store(true, std::memory_order_relaxed);
+          return;
+        }
+        cand.assign(cols.begin(), cols.end());
+        for (const ConjunctColumns& c : columns) {
+          Narrow(c, rows[first + b], &cand);
+          if (cand.empty()) break;
+        }
+        for (uint32_t j : cand) bits[b * words + j / 64] |= 1ULL << j % 64;
+        offset[b + 1] = cand.size();
+      }
+    });
+    if (expired.load(std::memory_order_relaxed)) return false;
+    offset[0] = pairs->size();
+    for (size_t b = 0; b < n; ++b) offset[b + 1] += offset[b];
+    pairs->resize(offset[n]);
+    pool->ParallelChunks(n, shards, [&](size_t, size_t begin, size_t end) {
+      for (size_t b = begin; b < end; ++b) {
+        std::pair<uint32_t, uint32_t>* out = pairs->data() + offset[b];
+        for (size_t w = 0; w < words; ++w) {
+          for (uint64_t word = bits[b * words + w]; word != 0;
+               word &= word - 1) {
+            *out++ = {rows[first + b],
+                      static_cast<uint32_t>(w * 64 + std::countr_zero(word))};
+          }
+        }
+      }
+    });
+  }
+  return true;
+}
+
 }  // namespace
 
 Status FormPairs(const std::vector<TwoVarConstraint>& two_var,
@@ -188,47 +252,11 @@ Status FormPairs(const std::vector<TwoVarConstraint>& two_var,
                          BuildColumns(two_var, *result, rows, cols, catalog));
     columns_seconds = column_timer.ElapsedSeconds();
 
-    // Joins rows[begin, end) into `out`; false once the token expired.
-    const auto join_rows = [&](size_t begin, size_t end, PairList* out) {
-      std::vector<uint32_t> cand;
-      cand.reserve(cols.size());
-      for (size_t r = begin; r < end; ++r) {
-        if (options.cancel != nullptr && options.cancel->Expired()) {
-          return false;
-        }
-        const uint32_t i = rows[r];
-        cand.assign(cols.begin(), cols.end());
-        for (const ConjunctColumns& c : columns) {
-          Narrow(c, i, &cand);
-          if (cand.empty()) break;
-        }
-        for (uint32_t j : cand) out->emplace_back(i, j);
-      }
-      return true;
-    };
-
-    ThreadPool* pool = options.pool;
-    if (pool != nullptr && pool->num_threads() > 1 && rows.size() >= 2 &&
-        rows.size() * cols.size() >= 2048) {
-      const size_t shards = std::min(pool->num_threads() * 4, rows.size());
-      std::vector<PairList> partial(shards);
-      std::atomic<bool> expired{false};
-      pool->ParallelChunks(
-          rows.size(), shards, [&](size_t shard, size_t begin, size_t end) {
-            if (!join_rows(begin, end, &partial[shard])) {
-              expired.store(true, std::memory_order_relaxed);
-            }
-          });
-      if (expired.load(std::memory_order_relaxed)) {
-        return CancelToken::ExpiredError("pair formation");
-      }
-      size_t total = 0;
-      for (const PairList& local : partial) total += local.size();
-      pairs.reserve(total);
-      for (const PairList& local : partial) {
-        pairs.insert(pairs.end(), local.begin(), local.end());
-      }
-    } else if (!join_rows(0, rows.size(), &pairs)) {
+    ThreadPool serial(1);
+    const bool shard =
+        options.pool != nullptr && rows.size() * cols.size() >= 2048;
+    if (!JoinRows(columns, rows, cols, result->t_sets.size(), options.cancel,
+                  shard ? options.pool : &serial, &pairs)) {
       return CancelToken::ExpiredError("pair formation");
     }
   }

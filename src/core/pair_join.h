@@ -18,9 +18,11 @@
 // takes part in, exactly as EvalPair does.
 //
 // Emission is row-major (i ascending, then j ascending). With a pool,
-// S-rows are sharded and per-shard matches concatenated in shard order,
+// S-rows are sharded: each row's matches are first recorded as a bitmap
+// and then expanded at the row's offset into a pair vector sized once,
 // so the pair vector, the check count and every digest downstream are
-// identical at every thread count. The cancel token is polled once per
+// identical at every thread count, and so is every allocation the join
+// makes (all on the calling thread). The cancel token is polled once per
 // S-row on both the serial and the sharded path.
 
 #ifndef CFQ_CORE_PAIR_JOIN_H_

@@ -19,9 +19,9 @@
 // wire responses, audit logs, EXPLAIN ANALYZE, and cfq_replay's
 // --verify-digests comparison.
 //
-// DigestRows is the reference. The daemon computes the same value for
-// its answers from per-side ranks, without sorting row strings
-// (server::AnswerDigest).
+// DigestRows is the reference. The daemon, cfq_mine and EXPLAIN ANALYZE
+// compute the same value from per-side ranks, without sorting row
+// strings (AnswerDigest, core/answer_rows.h).
 
 #ifndef CFQ_OBS_DIGEST_H_
 #define CFQ_OBS_DIGEST_H_

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -10,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/version.h"
 #include "core/analyze.h"
+#include "core/answer_rows.h"
 #include "core/cfq.h"
 #include "core/executor.h"
 #include "core/optimizer.h"
@@ -37,141 +40,6 @@ JsonValue ErrorResponse(const std::string& status, const std::string& error) {
   return ErrorObject(status, error);
 }
 
-// Item text is decimal item ids joined by single spaces: every byte is
-// a digit or a space, below ';' (0x3B), and none is escaped by JSON.
-// The answer path relies on two consequences of that byte invariant:
-//  - a row "A;B;a;b" (items and supports of S and T) is encoded as a
-//    JSON string by quoting it, with no escape pass;
-//  - two rows compare in byte order exactly as their (A;, B;) heads do:
-//    heads that differ first differ at or before their ';', where both
-//    rows still agree with them, so row order is the order of the S
-//    head and then the T head. A side never lists the same itemset
-//    twice, so equal heads mean the same pair, i.e. the same row.
-std::string JoinItems(const Itemset& items) {
-  std::string out;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(items[i]);
-  }
-  return out;
-}
-
-// The first `max_rows` rows of an answer: row r is the pair
-// (r / |T|, r % |T|) of a cross product, else pairs[r].
-class AnswerRows {
- public:
-  AnswerRows(const CfqResult& result, uint64_t max_rows)
-      : result_(result),
-        total_(result.cross_product
-                   ? static_cast<uint64_t>(result.s_sets.size()) *
-                         static_cast<uint64_t>(result.t_sets.size())
-                   : result.pairs.size()),
-        size_(std::min(max_rows, total_)) {}
-
-  uint64_t total() const { return total_; }  // Pre-cap pair count.
-  uint64_t size() const { return size_; }
-  std::pair<uint32_t, uint32_t> operator[](uint64_t r) const {
-    if (result_.cross_product) {
-      const uint64_t cols = result_.t_sets.size();
-      return {static_cast<uint32_t>(r / cols), static_cast<uint32_t>(r % cols)};
-    }
-    return result_.pairs[r];
-  }
-
- private:
-  const CfqResult& result_;
-  const uint64_t total_;
-  const uint64_t size_;
-};
-
-// One side's row fragments: `head` is the item text plus its ';', and
-// `support` the decimal support. Each is rendered the first time a row
-// needs it, so a set is formatted once per answer however many rows it
-// appears in, and never if it appears in none.
-class SideFragments {
- public:
-  explicit SideFragments(const std::vector<FrequentSet>& sets)
-      : sets_(sets), heads_(sets.size()), supports_(sets.size()),
-        rank_(sets.size(), kUnrendered) {}
-
-  const std::string& head(uint32_t k) {
-    Render(k);
-    return heads_[k];
-  }
-  const std::string& support(uint32_t k) {
-    Render(k);
-    return supports_[k];
-  }
-
-  // Ranks the rendered sets by the byte order of their heads, once
-  // every row's sets are rendered: rank(k) of set k, set_of_rank(r).
-  void Rank() {
-    std::sort(by_rank_.begin(), by_rank_.end(),
-              [this](uint32_t a, uint32_t b) { return heads_[a] < heads_[b]; });
-    for (uint32_t r = 0; r < by_rank_.size(); ++r) rank_[by_rank_[r]] = r;
-  }
-  uint32_t num_ranked() const { return static_cast<uint32_t>(by_rank_.size()); }
-  uint32_t rank(uint32_t k) const { return rank_[k]; }
-  uint32_t set_of_rank(uint32_t r) const { return by_rank_[r]; }
-
- private:
-  static constexpr uint32_t kUnrendered = ~uint32_t{0};
-
-  void Render(uint32_t k) {
-    if (rank_[k] != kUnrendered) return;
-    rank_[k] = 0;
-    by_rank_.push_back(k);
-    heads_[k] = JoinItems(sets_[k].items) + ';';
-    supports_[k] = std::to_string(sets_[k].support);
-  }
-
-  const std::vector<FrequentSet>& sets_;
-  std::vector<std::string> heads_;
-  std::vector<std::string> supports_;
-  std::vector<uint32_t> rank_;     // kUnrendered until rendered.
-  std::vector<uint32_t> by_rank_;  // Rendered sets; by rank after Rank().
-};
-
-// The canonical digest (obs/digest.h: FNV-1a over the rows in byte
-// order, '\n' after each) without building or sorting a row string. By
-// JoinItems' byte invariant the row order is the order of (S rank,
-// T rank), so the rows are put in that order by two counting sorts (by
-// T rank, then stably by S rank) and hashed from their fragments.
-// Every row's sets must be rendered.
-uint64_t RankedDigest(const AnswerRows& rows, SideFragments* s_side,
-                      SideFragments* t_side) {
-  s_side->Rank();
-  t_side->Rank();
-  using Ranks = std::pair<uint32_t, uint32_t>;  // (S rank, T rank).
-  // Stable counting sort of `in` into `out` by one of the two ranks.
-  const auto counting_sort = [](const std::vector<Ranks>& in, uint32_t ranks,
-                                uint32_t Ranks::*key, std::vector<Ranks>* out) {
-    std::vector<uint64_t> end(static_cast<size_t>(ranks) + 1, 0);
-    for (const Ranks& r : in) ++end[r.*key + 1];
-    for (size_t k = 1; k < end.size(); ++k) end[k] += end[k - 1];
-    for (const Ranks& r : in) (*out)[end[r.*key]++] = r;
-  };
-  std::vector<Ranks> by_row(rows.size()), by_t(rows.size());
-  for (uint64_t r = 0; r < rows.size(); ++r) {
-    const auto [i, j] = rows[r];
-    by_row[r] = {s_side->rank(i), t_side->rank(j)};
-  }
-  counting_sort(by_row, t_side->num_ranked(), &Ranks::second, &by_t);
-  counting_sort(by_t, s_side->num_ranked(), &Ranks::first, &by_row);
-  obs::Fnv1a hash;
-  for (const auto& [s_rank, t_rank] : by_row) {
-    const uint32_t i = s_side->set_of_rank(s_rank);
-    const uint32_t j = t_side->set_of_rank(t_rank);
-    hash.Update(s_side->head(i));
-    hash.Update(t_side->head(j));
-    hash.Update(s_side->support(i));
-    hash.Update(";", 1);
-    hash.Update(t_side->support(j));
-    hash.Update("\n", 1);
-  }
-  return hash.digest();
-}
-
 // Decodes a "transactions" array-of-arrays (append/ingest requests).
 Result<std::vector<std::vector<ItemId>>> DecodeBatch(
     const JsonValue& transactions) {
@@ -196,6 +64,29 @@ Result<std::vector<std::vector<ItemId>>> DecodeBatch(
   return batch;
 }
 
+// A query's strategy: the executor's (core/executor.h, same order),
+// then the two only the service runs, from a maintained mining state
+// or a stream.
+enum class ServedStrategy {
+  kOptimized,
+  kCap,
+  kApriori,
+  kFpGrowth,
+  kIncremental,
+  kStream
+};
+static_assert(static_cast<int>(ServedStrategy::kFpGrowth) ==
+              static_cast<int>(Strategy::kFpGrowth));
+
+std::optional<ServedStrategy> ParseServedStrategy(std::string_view name) {
+  if (const std::optional<Strategy> strategy = ParseStrategy(name)) {
+    return static_cast<ServedStrategy>(*strategy);
+  }
+  if (name == "incremental") return ServedStrategy::kIncremental;
+  if (name == "stream") return ServedStrategy::kStream;
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
@@ -217,6 +108,7 @@ std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
     bytes += s_side.head(i).size() + t_side.head(j).size() +
              s_side.support(i).size() + t_side.support(j).size() + 4;
   }
+  // Each row is quoted, not escaped: see SideFragments' byte invariant.
   auto text = std::make_shared<std::string>();
   text->reserve(bytes);
   *text += '[';
@@ -235,17 +127,6 @@ std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
   fresh->rows_json = std::move(text);
   fresh->digest = obs::DigestHex(RankedDigest(rows, &s_side, &t_side));
   return fresh;
-}
-
-uint64_t AnswerDigest(const CfqResult& result, uint64_t max_rows) {
-  const AnswerRows rows(result, max_rows);
-  SideFragments s_side(result.s_sets), t_side(result.t_sets);
-  for (uint64_t r = 0; r < rows.size(); ++r) {
-    const auto [i, j] = rows[r];
-    s_side.head(i);
-    t_side.head(j);
-  }
-  return RankedDigest(rows, &s_side, &t_side);
 }
 
 JsonValue::Object AnswerResponse(const CachedAnswer& answer) {
@@ -806,20 +687,19 @@ JsonValue QueryService::HandleQuery(const JsonValue& request) {
 
 JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
                                              QueryTrace* trace) {
-  const std::string name = trace->dataset;
+  const std::string& name = trace->dataset;
   const std::string query_text = request.GetString("query", "");
   if (name.empty() || query_text.empty()) {
     return ErrorObject("BAD_REQUEST", "query needs \"dataset\" and \"query\"");
   }
-  const std::string strategy = trace->strategy;
-  if (strategy != "optimized" && strategy != "cap" && strategy != "apriori" &&
-      strategy != "fpgrowth" && strategy != "incremental" &&
-      strategy != "stream") {
-    return ErrorObject(
-        "BAD_REQUEST",
-        "unknown strategy '" + strategy +
-            "' (want optimized|cap|apriori|fpgrowth|incremental|stream)");
+  const std::optional<ServedStrategy> strategy =
+      ParseServedStrategy(trace->strategy);
+  if (!strategy.has_value()) {
+    return ErrorObject("BAD_REQUEST",
+                       "unknown strategy '" + trace->strategy + "' (want " +
+                           StrategyNameList() + "|incremental|stream)");
   }
+  const bool is_stream = *strategy == ServedStrategy::kStream;
 
   obs::ScopedPhase parse_phase(&trace->phases, &trace->tracer, "parse");
   auto parsed = ParseCfq(query_text);
@@ -841,24 +721,36 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
     }
     query.window_units = requested_window;
   }
-  if (strategy == "stream") {
-    return ExecuteStream(request, std::move(query), trace);
-  }
-  if (query.window_units != 0) {
+  if (!is_stream && query.window_units != 0) {
     return ErrorObject("BAD_REQUEST",
                        "window(" + std::to_string(query.window_units) +
                            ") requires strategy=stream (the batch "
                            "strategies answer over the whole dataset)");
   }
 
-  auto entry = [&] {
+  // Resolve the source: a catalog dataset at its current generation,
+  // or a live stream (streams are not in the catalog).
+  CatalogEntry entry;
+  std::shared_ptr<const StreamEntry> stream;
+  std::string not_found;
+  {
     obs::ScopedPhase phase(&trace->phases, &trace->tracer, "catalog");
-    return catalog_.Get(name);
-  }();
-  if (!entry.ok()) {
-    return ErrorObject("NOT_FOUND", entry.status().ToString());
+    if (is_stream) {
+      stream = FindStream(name);
+      if (stream == nullptr) {
+        not_found = "no stream named '" + name +
+                    "' (streams are created by their first ingest)";
+      }
+    } else if (auto found = catalog_.Get(name); found.ok()) {
+      entry = std::move(found).value();
+    } else {
+      not_found = found.status().ToString();
+    }
   }
-  for (ItemId i = 0; i < entry->data->db.num_items(); ++i) {
+  if (!not_found.empty()) return ErrorObject("NOT_FOUND", not_found);
+  const size_t num_items = is_stream ? stream->ingestor->options().num_items
+                                     : entry.data->db.num_items();
+  for (ItemId i = 0; i < num_items; ++i) {
     query.s_domain.push_back(i);
     query.t_domain.push_back(i);
   }
@@ -871,14 +763,23 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
   if (max_rows > options_.max_rows) max_rows = options_.max_rows;
 
   // The cache key covers exactly what determines the answer bytes; see
-  // result_cache.h.
-  const std::string cache_key =
-      name + '@' + std::to_string(entry->generation) + '|' + strategy +
-      "|rows=" + std::to_string(max_rows) + '|' + canonical;
+  // result_cache.h. A stream's unit watermark plays the role the dataset
+  // generation plays: every ingest advances it, so stale windowed
+  // answers can never be served (the ingest-time purge is belt and
+  // braces on top).
+  stream::StreamWindowInfo window;
+  if (is_stream) window = stream->ingestor->ResolveWindow(query.window_units);
+  const auto cache_key = [&] {
+    return name + (is_stream ? "@stream:" : "@") +
+           std::to_string(is_stream ? window.unit_watermark
+                                    : entry.generation) +
+           '|' + trace->strategy + "|rows=" + std::to_string(max_rows) + '|' +
+           canonical;
+  };
 
   auto answer = [&] {
     obs::ScopedPhase phase(&trace->phases, &trace->tracer, "cache");
-    return cache_.Get(cache_key);
+    return cache_.Get(cache_key());
   }();
   bool cached = answer != nullptr;
   // How this answer was obtained: a result-cache "hit", an
@@ -923,36 +824,49 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
     // execute span in the flight recorder.
     plan_options.tracer = &trace->tracer;
 
+    Result<CfqPlan> plan = CfqPlan{};
+    if (*strategy == ServedStrategy::kOptimized) {
+      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "plan");
+      plan = BuildPlan(query, plan_options);
+    }
+    if (!plan.ok()) {
+      return ErrorObject("PLAN_ERROR", plan.status().ToString());
+    }
+
     // The catalog pre-built the vertical index, so execution treats the
     // shared database as read-only despite the non-const signature.
-    TransactionDb* db = const_cast<TransactionDb*>(&entry->data->db);
-    Result<CfqResult> result = Status::Internal("unreachable");
-    if (strategy == "optimized") {
-      auto plan = [&] {
-        obs::ScopedPhase phase(&trace->phases, &trace->tracer, "plan");
-        return BuildPlan(query, plan_options);
-      }();
-      if (!plan.ok()) {
-        return ErrorObject("PLAN_ERROR", plan.status().ToString());
-      }
+    TransactionDb* db =
+        is_stream ? nullptr : const_cast<TransactionDb*>(&entry.data->db);
+    auto result = [&]() -> Result<CfqResult> {
       obs::ScopedPhase phase(&trace->phases, &trace->tracer, "execute");
-      result = ExecutePlan(db, entry->data->catalog, plan.value());
-    } else if (strategy == "cap") {
-      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "execute");
-      result = ExecuteCapOneVar(db, entry->data->catalog, query,
-                                plan_options);
-    } else if (strategy == "fpgrowth") {
-      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "execute");
-      result = ExecuteFpGrowth(db, entry->data->catalog, query, plan_options);
-    } else if (strategy == "incremental") {
-      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "execute");
-      result = RunIncremental(name, *entry, query, &cancel, &query_metrics,
-                              trace, &trace->source);
-    } else {
-      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "execute");
-      result = ExecuteAprioriPlus(db, entry->data->catalog, query,
+      switch (*strategy) {
+        case ServedStrategy::kOptimized:
+          return ExecutePlan(db, entry.data->catalog, plan.value());
+        case ServedStrategy::kCap:
+          return ExecuteCapOneVar(db, entry.data->catalog, query,
                                   plan_options);
-    }
+        case ServedStrategy::kApriori:
+          return ExecuteAprioriPlus(db, entry.data->catalog, query,
+                                    plan_options);
+        case ServedStrategy::kFpGrowth:
+          return ExecuteFpGrowth(db, entry.data->catalog, query,
+                                 plan_options);
+        case ServedStrategy::kIncremental:
+          return RunIncremental(name, entry, query, &cancel, &query_metrics,
+                                trace, &trace->source);
+        case ServedStrategy::kStream: {
+          stream::StreamQueryOptions stream_options;
+          stream_options.tracer = &trace->tracer;
+          stream_options.metrics = &query_metrics;
+          stream_options.cancel = &cancel;
+          // Query holds the reader lock, so `window` comes back exact
+          // even if an ingest slipped in since the lookup above.
+          return stream->ingestor->Query(*stream->attrs, query,
+                                         stream_options, &window);
+        }
+      }
+      return Status::Internal("unreachable");
+    }();
     if (!result.ok()) {
       if (result.status().code() == StatusCode::kDeadlineExceeded) {
         metrics_->Add("server.query.timeouts");
@@ -964,14 +878,14 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
                          result.status().ToString());
     }
 
-    // Finer attribution inside the execute phase, from the per-query
-    // registry the mining stack observed into. Dotted names mark them
-    // as sub-phases of `execute`.
-    const auto sub_phase = [&](const char* phase_name, const char* metric) {
-      const double seconds = query_metrics.histogram(metric).sum();
-      if (seconds > 0) trace->phases.Add(phase_name, seconds);
-    };
-    if (strategy == "incremental") {
+    // Finer attribution inside the execute phase. Dotted names mark
+    // them as sub-phases of `execute`.
+    if (*strategy == ServedStrategy::kIncremental) {
+      // From the per-query registry the incremental stack observed into.
+      const auto sub_phase = [&](const char* phase_name, const char* metric) {
+        const double seconds = query_metrics.histogram(metric).sum();
+        if (seconds > 0) trace->phases.Add(phase_name, seconds);
+      };
       sub_phase("execute.build", "incr.build_seconds");
       sub_phase("execute.refresh", "incr.refresh_seconds");
       sub_phase("execute.refresh.recount", "incr.delta.recount_seconds");
@@ -995,9 +909,10 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
 
     obs::ScopedPhase render_phase(&trace->phases, &trace->tracer, "render");
     auto fresh = RenderAnswer(result.value(), max_rows, canonical);
-    ExportMetrics(result->stats, &query_metrics);
+    if (!is_stream) ExportMetrics(result->stats, &query_metrics);
     metrics_->MergeFrom(query_metrics);
-    cache_.Put(cache_key, fresh);
+    // A stream answer is keyed at the watermark it answered at.
+    cache_.Put(cache_key(), fresh);
     answer = std::move(fresh);
     render_phase.End();
   }
@@ -1006,138 +921,22 @@ JsonValue::Object QueryService::ExecuteQuery(const JsonValue& request,
   trace->rows = answer->num_rows;
   JsonValue::Object response = AnswerResponse(*answer);
   response["dataset"] = name;
-  response["generation"] = static_cast<int64_t>(entry->generation);
-  response["strategy"] = strategy;
+  response["strategy"] = trace->strategy;
   response["source"] = trace->source;
   response["cached"] = cached;
-  return response;
-}
-
-JsonValue::Object QueryService::ExecuteStream(const JsonValue& request,
-                                              CfqQuery query,
-                                              QueryTrace* trace) {
-  const std::string name = trace->dataset;
-  auto stream = [&] {
-    obs::ScopedPhase phase(&trace->phases, &trace->tracer, "catalog");
-    return FindStream(name);
-  }();
-  if (stream == nullptr) {
-    return ErrorObject("NOT_FOUND", "no stream named '" + name +
-                                        "' (streams are created by their "
-                                        "first ingest)");
+  if (!is_stream) {
+    response["generation"] = static_cast<int64_t>(entry.generation);
+    return response;
   }
-  const size_t num_items = stream->ingestor->options().num_items;
-  for (ItemId i = 0; i < num_items; ++i) {
-    query.s_domain.push_back(i);
-    query.t_domain.push_back(i);
-  }
-  const std::string canonical = CanonicalizeQuery(query);
-
-  uint64_t max_rows =
-      static_cast<uint64_t>(request.GetInt("max_rows",
-                                           static_cast<int64_t>(
-                                               options_.max_rows)));
-  if (max_rows > options_.max_rows) max_rows = options_.max_rows;
-
-  // The unit watermark plays the role the dataset generation plays for
-  // the batch strategies: every ingest advances it, so stale windowed
-  // answers can never be served (the ingest-time purge is belt and
-  // braces on top).
-  const auto cache_key_at = [&](uint64_t units) {
-    return name + "@stream:" + std::to_string(units) +
-           "|stream|rows=" + std::to_string(max_rows) + '|' + canonical;
-  };
-  stream::StreamWindowInfo info =
-      stream->ingestor->ResolveWindow(query.window_units);
-
-  auto answer = [&] {
-    obs::ScopedPhase phase(&trace->phases, &trace->tracer, "cache");
-    return cache_.Get(cache_key_at(info.unit_watermark));
-  }();
-  bool cached = answer != nullptr;
-  trace->source = cached ? "hit" : "cold";
-  if (!cached) {
-    uint64_t deadline_ms = static_cast<uint64_t>(
-        request.GetInt("deadline_ms",
-                       static_cast<int64_t>(options_.default_deadline_ms)));
-    if (deadline_ms == 0 || deadline_ms > options_.max_deadline_ms) {
-      deadline_ms = options_.max_deadline_ms;
-    }
-    CancelToken cancel;
-    cancel.SetDeadline(std::chrono::milliseconds(deadline_ms));
-
-    auto permit = [&] {
-      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "admission");
-      return admission_.Admit(&cancel);
-    }();
-    if (!permit.ok()) {
-      if (permit.status().code() == StatusCode::kDeadlineExceeded) {
-        metrics_->Add("server.admission.timeouts");
-        return ErrorObject("TIMEOUT", permit.status().ToString());
-      }
-      const bool draining =
-          permit.status().message().find("shutting down") !=
-          std::string::npos;
-      metrics_->Add(draining ? "server.admission.drained"
-                             : "server.admission.rejected");
-      return ErrorObject(draining ? "SHUTTING_DOWN" : "REJECTED",
-                         permit.status().ToString());
-    }
-
-    obs::MetricsRegistry query_metrics;
-    stream::StreamQueryOptions stream_options;
-    stream_options.tracer = &trace->tracer;
-    stream_options.metrics = &query_metrics;
-    stream_options.cancel = &cancel;
-    auto result = [&] {
-      obs::ScopedPhase phase(&trace->phases, &trace->tracer, "execute");
-      return stream->ingestor->Query(*stream->attrs, query, stream_options,
-                                     &info);
-    }();
-    if (!result.ok()) {
-      if (result.status().code() == StatusCode::kDeadlineExceeded) {
-        metrics_->Add("server.query.timeouts");
-        return ErrorObject("TIMEOUT", result.status().ToString());
-      }
-      return ErrorObject(result.status().code() == StatusCode::kNotFound
-                             ? "PLAN_ERROR"
-                             : "EXEC_ERROR",
-                         result.status().ToString());
-    }
-    if (result->stats.mining_seconds > 0) {
-      trace->phases.Add("execute.mine", result->stats.mining_seconds);
-    }
-    if (result->stats.pair_seconds > 0) {
-      trace->phases.Add("execute.pair", result->stats.pair_seconds);
-    }
-
-    obs::ScopedPhase render_phase(&trace->phases, &trace->tracer, "render");
-    auto fresh = RenderAnswer(result.value(), max_rows, canonical);
-    metrics_->MergeFrom(query_metrics);
-    // Key at the watermark the query actually answered at (Query holds
-    // the reader lock, so info.unit_watermark is exact even if an
-    // ingest slipped in between the lookup above and execution).
-    cache_.Put(cache_key_at(info.unit_watermark), fresh);
-    answer = std::move(fresh);
-    render_phase.End();
-  }
-
-  obs::ScopedPhase respond_phase(&trace->phases, &trace->tracer, "respond");
-  trace->rows = answer->num_rows;
-  JsonValue::Object response = AnswerResponse(*answer);
-  response["dataset"] = name;
-  response["strategy"] = "stream";
-  response["source"] = trace->source;
-  response["cached"] = cached;
   response["window_units"] = static_cast<int64_t>(query.window_units);
-  response["unit"] = static_cast<int64_t>(info.unit_watermark);
-  JsonValue::Object window;
-  window["requested_units"] = static_cast<int64_t>(info.requested_units);
-  window["covered_units"] = static_cast<int64_t>(info.covered_units);
-  window["transactions"] = static_cast<int64_t>(info.transactions);
-  window["eps"] = info.eps;
-  window["exact"] = info.exact;
-  response["window"] = std::move(window);
+  response["unit"] = static_cast<int64_t>(window.unit_watermark);
+  JsonValue::Object window_json;
+  window_json["requested_units"] = static_cast<int64_t>(window.requested_units);
+  window_json["covered_units"] = static_cast<int64_t>(window.covered_units);
+  window_json["transactions"] = static_cast<int64_t>(window.transactions);
+  window_json["eps"] = window.eps;
+  window_json["exact"] = window.exact;
+  response["window"] = std::move(window_json);
   return response;
 }
 

@@ -161,12 +161,10 @@ class QueryService {
   JsonValue HandleAppend(const JsonValue& request);
   JsonValue HandleIngest(const JsonValue& request);
   JsonValue HandleQuery(const JsonValue& request);
+  // The one query pipeline: parse, resolve the source (a catalog
+  // dataset, or for strategy=stream a live stream's pattern tree),
+  // canonicalize, cache, admit, run, render, respond.
   JsonValue::Object ExecuteQuery(const JsonValue& request, QueryTrace* trace);
-  // strategy=stream: answers from the named stream's pattern tree
-  // (stream/query.h) instead of a catalog dataset. The result-cache key
-  // swaps the dataset generation for the stream's unit watermark.
-  JsonValue::Object ExecuteStream(const JsonValue& request, CfqQuery query,
-                                  QueryTrace* trace);
   JsonValue HandleStats();
   JsonValue HandleDumpTrace();
 
@@ -206,17 +204,12 @@ class QueryService {
 // Renders a finished result into the cacheable answer: protocol rows
 // "s_items;t_items;s_support;t_support" (row-major, capped at
 // `max_rows`) encoded once as a JSON array, the pre-cap pair count, and
-// the FNV-1a digest (obs/digest.h) cache hits return byte-for-byte.
-// Each side set is formatted at most once, and only if it appears in
-// an emitted row.
+// the FNV-1a digest (AnswerDigest, core/answer_rows.h) cache hits
+// return byte-for-byte. Each side set is formatted at most once, and
+// only if it appears in an emitted row.
 std::shared_ptr<CachedAnswer> RenderAnswer(const CfqResult& result,
                                            uint64_t max_rows,
                                            const std::string& canonical);
-
-// The digest RenderAnswer computes for the same arguments, from
-// per-side ranks of the sets' item text: no row string is built or
-// sorted.
-uint64_t AnswerDigest(const CfqResult& result, uint64_t max_rows);
 
 // The answer's part of a `query` response: status, counts, digest, and
 // the pre-encoded rows spliced in without a per-row copy.

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/answer_rows.h"
 #include "obs/digest.h"
 #include "server/admission.h"
 #include "server/client.h"
@@ -749,6 +750,169 @@ TEST_F(ServiceTest, AdmissionObservesQueueWaitPerAdmittedQuery) {
   EXPECT_EQ(
       metrics_.histogram("server.admission.queue_wait_seconds").count(), 1u);
 }
+
+// --- One pipeline, every strategy -------------------------------------
+
+using Names = std::set<std::string>;
+
+Names KeysOf(const JsonValue& value) {
+  Names out;
+  for (const auto& [key, field] : value.as_object()) out.insert(key);
+  return out;
+}
+
+Names PhasesOf(const JsonValue& response) {
+  const JsonValue* trace = response.Find("trace");
+  if (trace == nullptr || trace->Find("phases") == nullptr) return {};
+  return KeysOf(*trace->Find("phases"));
+}
+
+// Every strategy runs through the same parse -> resolve -> cache ->
+// admit -> run -> render -> respond steps. Pins, per strategy, the
+// error and drain outcomes and the exact response fields and trace
+// phase names of a cold answer, a timeout, a hit and a refused miss.
+class ServicePipelineTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  ServicePipelineTest() : service_(Options(), &metrics_) {}
+
+  static ServiceOptions Options() {
+    ServiceOptions options;
+    options.cache_capacity = 8;
+    options.max_concurrent = 2;
+    options.max_queued = 2;
+    return options;
+  }
+
+  bool is_stream() const { return std::string(GetParam()) == "stream"; }
+
+  // A 4000-transaction source named "big": a generated dataset, or a
+  // stream fed one batch of random 10-item transactions.
+  void SetUp() override {
+    if (!is_stream()) {
+      JsonValue::Object gen = GenRequest("big").as_object();
+      gen["num_transactions"] = static_cast<int64_t>(4000);
+      gen["num_items"] = static_cast<int64_t>(120);
+      gen["num_patterns"] = static_cast<int64_t>(60);
+      ASSERT_EQ(service_.Handle(std::move(gen)).GetString("status", ""), "OK");
+      return;
+    }
+    std::mt19937 rng(7);
+    std::uniform_int_distribution<int64_t> item(0, 119);
+    JsonValue::Array transactions;
+    for (int t = 0; t < 4000; ++t) {
+      std::set<int64_t> txn;
+      while (txn.size() < 10) txn.insert(item(rng));
+      JsonValue::Array row;
+      for (int64_t x : txn) row.emplace_back(x);
+      transactions.emplace_back(std::move(row));
+    }
+    JsonValue::Object ingest;
+    ingest["cmd"] = "ingest";
+    ingest["stream"] = "big";
+    ingest["transactions"] = std::move(transactions);
+    ingest["eps"] = 0.01;
+    ingest["num_items"] = static_cast<int64_t>(120);
+    ASSERT_EQ(service_.Handle(std::move(ingest)).GetString("status", ""),
+              "OK");
+  }
+
+  JsonValue Query(const std::string& text, int64_t deadline_ms = 0) {
+    JsonValue::Object request = QueryRequest("big", text).as_object();
+    request["strategy"] = GetParam();
+    if (deadline_ms > 0) request["deadline_ms"] = deadline_ms;
+    return service_.Handle(std::move(request));
+  }
+
+  // The fields of an OK answer: the answer itself, plus the dataset
+  // generation or the stream window it was answered at.
+  Names AnswerKeys() const {
+    Names keys = {"cached",    "canonical_query", "cross_product", "dataset",
+                  "digest",    "elapsed_seconds", "num_pairs",     "rows",
+                  "s_sets",    "source",          "status",        "strategy",
+                  "t_sets",    "trace",           "truncated"};
+    if (is_stream()) {
+      keys.insert({"unit", "window", "window_units"});
+    } else {
+      keys.insert("generation");
+    }
+    return keys;
+  }
+
+  // The phases a cold run records up to and including `execute`.
+  Names RunPhases() const {
+    Names phases = {"parse", "catalog", "cache", "admission", "execute"};
+    if (std::string(GetParam()) == "optimized") phases.insert("plan");
+    return phases;
+  }
+
+  obs::MetricsRegistry metrics_;
+  QueryService service_;
+};
+
+TEST_P(ServicePipelineTest, ErrorDrainAndHitPathsKeepTheirShape) {
+  constexpr char kSmall[] =
+      "freq(S, 300) & freq(T, 300) & max(S.Price) <= min(T.Price)";
+  constexpr char kOther[] =
+      "freq(S, 350) & freq(T, 350) & max(S.Price) <= min(T.Price)";
+  constexpr char kLarge[] =
+      "freq(S, 2) & freq(T, 2) & sum(S.Price) <= sum(T.Price)";
+
+  JsonValue cold = Query(kSmall);
+  ASSERT_EQ(cold.GetString("status", ""), "OK") << cold.Write();
+  EXPECT_FALSE(cold.GetBool("cached", true));
+  EXPECT_EQ(KeysOf(cold), AnswerKeys());
+  Names cold_phases = RunPhases();
+  cold_phases.insert({"render", "respond"});
+  if (std::string(GetParam()) == "incremental") {
+    cold_phases.insert({"execute.build", "execute.answer",
+                        "execute.answer.filter", "execute.answer.reduce",
+                        "execute.answer.audit", "execute.answer.pair"});
+  } else {
+    cold_phases.insert({"execute.mine", "execute.pair"});
+  }
+  EXPECT_EQ(PhasesOf(cold), cold_phases);
+  ASSERT_EQ(service_.cache().size(), 1u);
+
+  // A deadline that expires mid-run: TIMEOUT, no permit leaked, and
+  // nothing cached for the aborted query.
+  JsonValue timeout = Query(kLarge, /*deadline_ms=*/1);
+  EXPECT_EQ(timeout.GetString("status", ""), "TIMEOUT") << timeout.Write();
+  EXPECT_NE(timeout.GetString("error", "").find("DEADLINE_EXCEEDED"),
+            std::string::npos);
+  EXPECT_EQ(KeysOf(timeout), (Names{"error", "status", "trace"}));
+  EXPECT_EQ(PhasesOf(timeout), RunPhases());
+  EXPECT_EQ(service_.admission().active(), 0u);
+  EXPECT_EQ(service_.admission().queued(), 0u);
+  EXPECT_EQ(service_.cache().size(), 1u);
+  EXPECT_EQ(metrics_.counter("server.query.timeouts"), 1u);
+
+  service_.BeginDrain();
+
+  // Hits are served before admission, so they still answer while the
+  // service drains.
+  JsonValue hit = Query(kSmall);
+  ASSERT_EQ(hit.GetString("status", ""), "OK") << hit.Write();
+  EXPECT_TRUE(hit.GetBool("cached", false));
+  EXPECT_EQ(hit.GetString("source", ""), "hit");
+  EXPECT_EQ(hit.GetString("digest", "h"), cold.GetString("digest", "c"));
+  EXPECT_EQ(KeysOf(hit), AnswerKeys());
+  EXPECT_EQ(PhasesOf(hit), (Names{"parse", "catalog", "cache", "respond"}));
+
+  // A miss needs a permit, which a draining service refuses.
+  JsonValue refused = Query(kOther);
+  EXPECT_EQ(refused.GetString("status", ""), "SHUTTING_DOWN")
+      << refused.Write();
+  EXPECT_EQ(KeysOf(refused), (Names{"error", "status", "trace"}));
+  EXPECT_EQ(PhasesOf(refused),
+            (Names{"parse", "catalog", "cache", "admission"}));
+  EXPECT_EQ(metrics_.counter("server.admission.drained"), 1u);
+  EXPECT_EQ(service_.cache().size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, ServicePipelineTest,
+                         ::testing::Values("optimized", "cap", "apriori",
+                                           "fpgrowth", "incremental",
+                                           "stream"));
 
 // --- HTTP telemetry endpoint -----------------------------------------
 

@@ -34,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "common/version.h"
@@ -188,21 +189,14 @@ int main(int argc, char** argv) {
   }
 
   // --- Execute. --------------------------------------------------------
-  const std::string strategy = args.GetString("strategy", "optimized");
-  Result<CfqResult> result = Status::Internal("unreachable");
-  if (strategy == "optimized") {
-    result = ExecutePlan(&db, catalog, plan.value());
-  } else if (strategy == "cap") {
-    result = ExecuteCapOneVar(&db, catalog, query, options);
-  } else if (strategy == "apriori") {
-    result = ExecuteAprioriPlus(&db, catalog, query, options);
-  } else if (strategy == "fpgrowth") {
-    result = ExecuteFpGrowth(&db, catalog, query, options);
-  } else {
-    std::cerr << "error: unknown --strategy '" << strategy
-              << "' (want optimized|cap|apriori|fpgrowth)\n";
+  const std::string strategy_name = args.GetString("strategy", "optimized");
+  const std::optional<Strategy> strategy = ParseStrategy(strategy_name);
+  if (!strategy.has_value()) {
+    std::cerr << "error: unknown --strategy '" << strategy_name << "' (want "
+              << StrategyNameList() << ")\n";
     return kUnknownAttrExit;
   }
+  auto result = ExecuteStrategy(*strategy, &db, catalog, plan.value());
   if (!result.ok()) return FailQuery(result.status(), catalog);
   // Answer identity for cross-build / cross-kernel comparison; shown by
   // EXPLAIN ANALYZE and on stderr next to the pair count.
